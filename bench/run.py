@@ -16,8 +16,10 @@ false only when the program returned an output that disagrees with the
 oracle (a wrong answer, as opposed to an error). With ``--trace 0`` the
 metrics are the end-to-end ones; with ``--trace 1`` untraced and traced
 passes over the input mix alternate, and the metrics are the per-function
-ones from the traced passes plus the tracing overhead. An environment
-stamp and a summary of failures go to stderr.
+ones from the traced passes plus the tracing overhead and the outcome of
+the tolerance-edge probe (see ``workloads.tolerance_edge_probe``), which
+every run makes once before set-up. An environment stamp, the probe's
+outcome and a summary of failures go to stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import statistics
 import subprocess
 import sys
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH_DIR)
@@ -43,7 +45,8 @@ SINGLE_THREAD = {
     "VECLIB_MAXIMUM_THREADS": "1",
     "NUMEXPR_NUM_THREADS": "1",
 }
-SETUP_REPEATS = 7
+SETUP_MIN_REPEATS = 5
+SETUP_SECONDS = 2.5
 FLOOR_REPEATS = 7
 WORKLOADS = ("search", "verify", "cli")
 
@@ -98,7 +101,7 @@ class Tally:
         self.raised = 0
         self.wrong = 0
         self.latencies = []     # seconds, successful operations only
-        self.busy = 0.0         # seconds spent in the program, all operations
+        self.by_position = defaultdict(list)    # the same, by position in the input mix
         self.errors = Counter()
 
     @property
@@ -122,12 +125,10 @@ def run_op(wl, i: int, call, tally: Tally, tracer=None, corrupt=None) -> float:
                 out = call(inp)
     except Exception as e:  # the program failing on an input is a measured outcome
         elapsed = time.perf_counter() - start
-        tally.busy += elapsed
         tally.raised += 1
         tally.errors[f"{type(e).__name__}: {str(e)[:80]}"] += 1
         return elapsed
     elapsed = time.perf_counter() - start
-    tally.busy += elapsed
     if corrupt is not None:
         out = corrupt(out)
     try:
@@ -136,6 +137,7 @@ def run_op(wl, i: int, call, tally: Tally, tracer=None, corrupt=None) -> float:
         ok = False
     if ok:
         tally.latencies.append(elapsed)
+        tally.by_position[i % wl.cycle].append(elapsed)
     else:
         tally.wrong += 1
         tally.errors[f"wrong output at position {i % wl.cycle} of the input mix"] += 1
@@ -143,9 +145,11 @@ def run_op(wl, i: int, call, tally: Tally, tracer=None, corrupt=None) -> float:
 
 
 def timed_setup(wl, seed: int) -> float:
-    """Median set-up time over SETUP_REPEATS runs of the same set-up."""
+    """Median set-up time over repeats of the same set-up: at least
+    SETUP_MIN_REPEATS, and more while less than SETUP_SECONDS were spent, so
+    a cheap set-up is sampled often enough to be steady."""
     times = []
-    for _ in range(SETUP_REPEATS):
+    while len(times) < SETUP_MIN_REPEATS or sum(times) < SETUP_SECONDS:
         start = time.perf_counter()
         wl.setup(seed)
         times.append(time.perf_counter() - start)
@@ -163,18 +167,20 @@ def measure(wl, seconds: float, corrupt=None) -> Tally:
 
 
 def end_to_end(wl, setup_s: float, tally: Tally) -> dict:
-    """Latencies are over successful operations; ``ops_per_s`` counts them
-    per second spent in the program by all operations. Peak memory is this
-    process's, or for cli the largest child's."""
+    """Latencies are over successful operations. ``ops_per_s`` is the number
+    of positions in the input mix over the sum of their median latencies: the
+    rate of one pass at the typical cost of each input, so a pause of the
+    shared host that hits a few operations does not move it. Peak memory is
+    this process's, or for cli the largest child's."""
     lat_ms = sorted(x * 1000.0 for x in tally.latencies)
+    typical = [statistics.median(v) for v in tally.by_position.values()]
     who = resource.RUSAGE_CHILDREN if wl.name == "cli" else resource.RUSAGE_SELF
     return {
         "setup_s": (setup_s, "s"),
-        "ops_per_s": (len(tally.latencies) / tally.busy, "1/s"),
+        "ops_per_s": (len(typical) / sum(typical), "1/s"),
         "latency_p50_ms": (statistics.median(lat_ms), "ms"),
         "latency_p90_ms": (statistics.quantiles(lat_ms, n=10, method="inclusive")[8]
                            if len(lat_ms) > 1 else lat_ms[0], "ms"),
-        "ok_ratio": ((tally.attempted - tally.failed) / tally.attempted, "ratio"),
         "peak_rss_mb": (resource.getrusage(who).ru_maxrss / 1024.0, "MB"),
     }
 
@@ -237,11 +243,15 @@ def main(argv=None) -> int:
     print(json.dumps({"environment": environment_stamp()}), file=sys.stderr)
 
     seed = args.seed % (1 << 63)
+    import workloads
+    edge = workloads.tolerance_edge_probe(qbell)
+    print(f"bench: tolerance-edge probe: {edge}", file=sys.stderr)
     wl = make_workload(args.workload, qbell)
     try:
         if args.trace:
             wl.setup(seed)
             tally, metrics = traced(wl, args.seconds)
+            metrics["entropy.relative_entropy.edge_rejects"] = (float(edge == "rejected"), "count")
         else:
             setup_s = timed_setup(wl, seed)
             tally = measure(wl, args.seconds)
@@ -255,6 +265,7 @@ def main(argv=None) -> int:
         print("bench: no operation succeeded, so nothing was measured", file=sys.stderr)
         return 1
     result = tally.summary()
+    result["correct"] = result["correct"] and edge != "wrong"
     result["metrics"] = {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}
     print(json.dumps(result))
     return 0

@@ -108,6 +108,14 @@ class Search:
         return want is None or cls == want
 
 
+def divergence_matches(got, p1, p2) -> bool:
+    """``got`` (None for DIVERGENT) against the oracle's relative entropy."""
+    want = oracle.relative_entropy(np.clip(p1, 0.0, None), p2)
+    if (want is None) != (got is None):
+        return False
+    return want is None or abs(got - want) <= ENTROPY_TOL * max(1.0, abs(want))
+
+
 # ---------------------------------------------------------------------------
 # verify: every other module on fresh states, each used once.
 
@@ -120,15 +128,25 @@ class VerifyInput:
     observable: np.ndarray | None = None
     x: float = 0.0
     quad: tuple = ()
+    # relative_entropy compares two distributions; a state with an eigenvalue
+    # at -5e-10 read in its eigenbasis gives a tomogram with a -5e-10 entry,
+    # which is not one, so that pair is left to tolerance_edge_probe.
+    compare: bool = True
 
 
 def _verify_schedule():
-    """84 operations: 42 4x4 specs interleaved with 42 6x6 / 8x8 specs."""
+    """126 operations: 42 4x4 specs interleaved with 42 6x6 and 42 8x8 specs.
+
+    A 4x4 operation costs about 2.5 times a 6x6 or 8x8 one. With a third of
+    each dimension the median latency falls inside the cheaper group and the
+    90th percentile inside the 4x4 group, not in the gap between them, where
+    a small change of speed would make either jump.
+    """
     specs4 = [(4, kind, rotated, mode) for kind in KINDS_4 for rotated in (False, True)
               for mode in ANGLE_MODES]
-    specs_n = [(6 if j % 2 == 0 else 8, KINDS_N[j % len(KINDS_N)], False, None)
-               for j in range(len(specs4))]
-    return [s for pair in zip(specs4, specs_n) for s in pair]
+    specs6, specs8 = ([(dim, KINDS_N[j % len(KINDS_N)], False, None) for j in range(len(specs4))]
+                      for dim in (6, 8))
+    return [s for triple in zip(specs4, specs6, specs8) for s in triple]
 
 
 class Verify:
@@ -147,9 +165,7 @@ class Verify:
     def setup(self, seed: int) -> None:
         self.seed = seed
         for i in range(self.warmup_ops):
-            inp = self.make_input(-1 - i)
-            with contextlib.suppress(ValueError):
-                self.call(inp)
+            self.call(self.make_input(-1 - i))
 
     def make_input(self, i: int) -> VerifyInput:
         dim, kind, rotated, mode = self.schedule[i % self.cycle]
@@ -165,7 +181,8 @@ class Verify:
         x_mode = X_MODES[(KINDS_4.index(kind) + rotated) % len(X_MODES)]
         x = inputs.shift_above(rng, oracle.min_shift(f), x_mode)
         quad = tuple(inputs.directions(rng, mode, 4))
-        return VerifyInput(m, partner, first, second, f, x, quad)
+        compare = bool(np.min(oracle.joint_probabilities(m, first, second)) >= -oracle.SUPPORT_CUTOFF)
+        return VerifyInput(m, partner, first, second, f, x, quad, compare)
 
     def call(self, inp: VerifyInput) -> dict:
         qb = self.qb
@@ -182,14 +199,13 @@ class Verify:
         a1, a2 = qb.EulerAngles(*inp.first), qb.EulerAngles(*inp.second)
         w1 = qb.joint_tomogram(rho, a1, a2)
         w2 = qb.joint_tomogram(sigma, a1, a2)
-        divergence = qb.relative_entropy(w1, w2)
+        out.update(w1=w1.tolist(), w2=w2.tolist())
+        if inp.compare:
+            divergence = qb.relative_entropy(w1, w2)
+            out["divergence"] = None if divergence is qb.DIVERGENT else float(divergence)
         f = qb.ObservableMatrix(inp.observable)
         quad = qb.UnitaryQuadruple(*(qb.EulerAngles(phi, theta) for phi, theta in inp.quad))
-        out.update(
-            w1=w1.tolist(), w2=w2.tolist(),
-            divergence=None if divergence is qb.DIVERGENT else float(divergence),
-            appendix=qb.appendix_bell_value(f, inp.x, quad),
-        )
+        out["appendix"] = qb.appendix_bell_value(f, inp.x, quad)
         return out
 
     def check(self, inp: VerifyInput, out: dict) -> bool:
@@ -210,15 +226,42 @@ class Verify:
         for got, want in ((out["w1"], p1), (out["w2"], p2)):
             if not close(got, want, PROB_TOL) or abs(sum(got) - 1.0) > ENTROPY_TOL:
                 return False
-        want_div = oracle.relative_entropy(np.clip(p1, 0.0, None), p2)
-        got_div = out["divergence"]
-        if (want_div is None) != (got_div is None):
+        if ("divergence" in out) != inp.compare:
             return False
-        if want_div is not None and abs(got_div - want_div) > ENTROPY_TOL * max(1.0, abs(want_div)):
+        if inp.compare and not divergence_matches(out["divergence"], p1, p2):
             return False
         a, d, b, c = inp.quad
         want_app = abs(oracle.bell_value(oracle.shifted_state(inp.observable, inp.x), a, d, b, c))
         return abs(out["appendix"] - want_app) <= APPENDIX_TOL
+
+
+EDGE_STATE = np.diag([inputs.EDGE_EIGENVALUE, 0.2, 0.3, 0.5 - inputs.EDGE_EIGENVALUE])
+EDGE_STATUSES = ("rejected", "ok", "wrong", "not_validated")
+
+
+def tolerance_edge_probe(qb) -> str:
+    """Carry a state with an eigenvalue at -5e-10 through validate,
+    joint_tomogram on its eigenbasis and relative_entropy against the
+    uniform distribution.
+
+    Returns "rejected" when relative_entropy raises on the tomogram of a
+    state that validate accepted (a known defect of the tolerance chain),
+    "ok" for the oracle's value, "wrong" for another value and
+    "not_validated" when validate or joint_tomogram already refuses the state.
+    """
+    axis = qb.EulerAngles(0.0, 0.0)
+    try:
+        w = qb.joint_tomogram(qb.validate(EDGE_STATE), axis, axis)
+    except ValueError:
+        return "not_validated"
+    uniform = np.full(4, 0.25)
+    try:
+        value = qb.relative_entropy(w, uniform)
+    except ValueError:
+        return "rejected"
+    got = None if value is qb.DIVERGENT else float(value)
+    p = oracle.joint_probabilities(EDGE_STATE, (0.0, 0.0), (0.0, 0.0))
+    return "ok" if divergence_matches(got, p, uniform) else "wrong"
 
 
 # ---------------------------------------------------------------------------
