@@ -12,6 +12,7 @@ is bounded by 2 sqrt(2) Tr f, and by 2 when f carries a separability witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +35,16 @@ class ObservableMatrix:
         m = linalg.require_square(mat)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        defect = linalg.max_abs(m - m.conj().T)
+        mh = m.conj().T
+        defect = linalg.max_abs(m - mh)
         if defect > HERM_TOL:
             raise HermiticityError(
                 f"hermiticity defect {defect:.3e} exceeds tolerance {HERM_TOL:.1e}"
             )
+        self._spectrum = np.linalg.eigvalsh((m + mh) / 2.0)
         m = m.copy()
         m.flags.writeable = False
         self._mat = m
-        self._spectrum = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
         self._spectrum.flags.writeable = False
 
     @property
@@ -74,10 +76,10 @@ class UnitaryQuadruple:
         """The four 4x4 rotations pairing (u1,u3), (u1,u4), (u2,u3), (u2,u4)."""
         m1, m2, m3, m4 = self.matrices()
         return (
-            np.kron(m1, m3),
-            np.kron(m1, m4),
-            np.kron(m2, m3),
-            np.kron(m2, m4),
+            linalg.kron(m1, m3),
+            linalg.kron(m1, m4),
+            linalg.kron(m2, m3),
+            linalg.kron(m2, m4),
         )
 
     def as_setting(self) -> BellSetting:
@@ -103,7 +105,7 @@ def min_admissible_x(f: ObservableMatrix) -> float:
 
 
 def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
-    """Density matrix (f + x I) / (4 x + Tr f); requires x > max |f_j| strictly.
+    """Density matrix (f + x I) / (4 x + Tr f); requires finite x > max |f_j| strictly.
 
     The spectrum of the result is (f_j + x) / (4 x + Tr f).
     """
@@ -112,6 +114,8 @@ def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
         raise DomainError(
             f"x must strictly exceed the largest |eigenvalue| {x_min!r}; got {x!r}"
         )
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite; got {x!r}")
     denom = 4.0 * x + f.trace
     return validate((f.mat + x * np.eye(4)) / denom)
 

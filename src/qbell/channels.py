@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, validate
+from .density import HERM_TOL, PSD_TOL, DensityMatrix, validate
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,19 @@ def _blocks(rho: DensityMatrix, p: BlockPartition) -> np.ndarray:
     return rho.mat.reshape(p.n, p.m, p.n, p.m)
 
 
+def _validate_reduced(mat: np.ndarray, traced: int) -> DensityMatrix:
+    # Each reduced entry sums ``traced`` entries of the input, so the input's
+    # hermiticity defect and negative eigenvalues can grow by that factor.
+    return validate(mat, herm_tol=HERM_TOL * traced, psd_tol=PSD_TOL * traced)
+
+
 def block_trace_first(rho: DensityMatrix, p: BlockPartition) -> DensityMatrix:
     """n x n reduced matrix whose (k, j) entry is the trace of block (k, j)."""
     b = _blocks(rho, p)
-    return validate(np.einsum("ktjt->kj", b))
+    return _validate_reduced(np.einsum("ktjt->kj", b), p.m)
 
 
 def block_trace_second(rho: DensityMatrix, p: BlockPartition) -> DensityMatrix:
     """m x m reduced matrix: the sum of the n diagonal blocks."""
     b = _blocks(rho, p)
-    return validate(np.einsum("kskt->st", b))
+    return _validate_reduced(np.einsum("kskt->st", b), p.n)

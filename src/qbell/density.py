@@ -19,16 +19,14 @@ PSD_TOL = 1e-9
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix of a fixed dimension.
 
-    Instances are produced by :func:`validate`; the underlying array and the
-    cached spectrum are read-only.
+    Instances are produced only by :func:`validate`, which hands over arrays
+    that nothing else references; they are made read-only here, not copied.
     """
 
     __slots__ = ("_mat", "_spectrum")
 
     def __init__(self, mat: np.ndarray, spectrum: np.ndarray):
-        mat = mat.copy()
         mat.flags.writeable = False
-        spectrum = spectrum.copy()
         spectrum.flags.writeable = False
         self._mat = mat
         self._spectrum = spectrum
@@ -62,16 +60,18 @@ def validate(
     :class:`PositivityError`, each naming the offending magnitude. The
     computed spectrum is cached on the returned object.
     """
-    m = linalg.require_square(mat)
-    defect = linalg.max_abs(m - m.conj().T)
+    # The one copy: the caller keeps its array, the result owns this one.
+    m = linalg.require_square(np.array(mat, dtype=np.complex128, order="C"))
+    mh = m.conj().T
+    defect = linalg.max_abs(m - mh)
     if defect > herm_tol:
         raise HermiticityError(
             f"hermiticity defect {defect:.3e} exceeds tolerance {herm_tol:.1e}"
         )
-    tr = complex(np.trace(m))
+    tr = complex(m.trace())
     if abs(tr - 1.0) > trace_tol:
         raise TraceError(f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}")
-    spectrum = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    spectrum = np.linalg.eigvalsh((m + mh) / 2.0)
     if spectrum[0] < -psd_tol:
         raise PositivityError(
             f"negative eigenvalue {spectrum[0]:.6e} below tolerance -{psd_tol:.1e}"
@@ -185,7 +185,7 @@ class SeparableDecomposition:
     def matrix(self) -> np.ndarray:
         out = np.zeros((4, 4), dtype=np.complex128)
         for p, f1, f2 in zip(self.weights, self.first_factors, self.second_factors):
-            out += p * np.kron(np.asarray(f1), np.asarray(f2))
+            out += p * linalg.kron(f1, f2)
         return out
 
 

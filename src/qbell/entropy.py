@@ -43,12 +43,12 @@ DIVERGENT = Divergent()
 def von_neumann(rho: DensityMatrix) -> float:
     """Entropy -sum(lam * ln(lam)) over the spectrum, with 0 ln 0 = 0.
 
-    Tiny negative eigenvalues left by the positivity tolerance are clamped
-    to zero.
+    Tiny negative eigenvalues left by the positivity tolerance count as
+    zero, like exact zeros.
     """
-    lams = np.clip(rho.spectrum, 0.0, None)
-    lams = lams[lams > 0.0]
-    s = float(-np.sum(lams * np.log(lams)))
+    spectrum = rho.spectrum
+    lams = spectrum[spectrum > 0.0]
+    s = float(-(lams * np.log(lams)).sum())
     # an eigenvalue a rounding error above 1 can push the sum below zero
     return s if s > 0.0 else 0.0
 

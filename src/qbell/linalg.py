@@ -24,7 +24,7 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got {m.ndim} dimension(s)")
     if m.shape[0] == 0 or m.shape[1] == 0:
         raise ValueError("matrix must be non-empty")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -50,8 +50,19 @@ def matmul(a, b) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (j, k) of the result is a[j, k] * b."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product of two 2-D arrays; block (j, k) is a[j, k] * b.
+
+    A broadcast outer product: the same elementwise products as
+    ``np.kron``, so the result equals it bit for bit, without its
+    general-rank bookkeeping. Entries are not checked here; the consumers
+    of a product (``tomogram``) validate it.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"kron expects two 2-D matrices, got {a.ndim} and {b.ndim} dimension(s)")
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
 def trace(a) -> complex:
@@ -61,7 +72,7 @@ def trace(a) -> complex:
 
 def max_abs(a) -> float:
     """Max-norm (largest entrywise modulus)."""
-    return float(np.max(np.abs(np.asarray(a))))
+    return float(np.abs(np.asarray(a)).max())
 
 
 def hermiticity_defect(a) -> float:

@@ -63,10 +63,14 @@ def tomogram(rho: DensityMatrix, u) -> np.ndarray:
     um = linalg.require_square(u)
     if um.shape[0] != rho.dim:
         raise ValueError(f"unitary dim {um.shape[0]} does not match state dim {rho.dim}")
-    defect = linalg.max_abs(um.conj().T @ um - np.eye(rho.dim))
+    uh = um.conj().T
+    gram = uh @ um
+    # A fresh C-contiguous product, so ravel() is a view: this subtracts I.
+    gram.ravel()[:: rho.dim + 1] -= 1.0
+    defect = linalg.max_abs(gram)
     if defect > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-    probs = np.diag(um @ rho.mat @ um.conj().T).real.copy()
+    probs = (um @ rho.mat @ uh).diagonal().real.copy()
     probs[(probs < 0.0) & (probs >= -CLAMP_TOL)] = 0.0
     return probs
 
@@ -79,4 +83,4 @@ def joint_tomogram(rho: DensityMatrix, a1: EulerAngles, a2: EulerAngles) -> np.n
     """
     if rho.dim != 4:
         raise ValueError(f"joint tomogram needs a 4x4 state, got dim {rho.dim}")
-    return tomogram(rho, np.kron(su2(a1), su2(a2)))
+    return tomogram(rho, linalg.kron(su2(a1), su2(a2)))

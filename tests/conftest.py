@@ -24,3 +24,12 @@ def random_unitary(rng, n):
 def random_hermitian(rng, n, scale=1.0):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (g + g.conj().T) / 2.0
+
+
+# States that validate accepts at its default tolerances, with defects that
+# a 2x2 block trace doubles: two eigenvalues at -9e-10 in one diagonal
+# block, and a 6e-11 hermiticity defect in each diagonal block.
+EDGE_NEGATIVE_BLOCK = np.diag([-9e-10, -9e-10, 0.5 + 9e-10, 0.5 + 9e-10]).astype(complex)
+EDGE_SKEW_BLOCKS = np.eye(4, dtype=complex) / 4
+EDGE_SKEW_BLOCKS[0, 1] += 6e-11
+EDGE_SKEW_BLOCKS[2, 3] += 6e-11

@@ -84,6 +84,12 @@ def test_rho_of_x_rejects_small_shift():
         rho_of_x(f, 1.0)
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_rho_of_x_rejects_non_finite_shift(x):
+    with pytest.raises(DomainError, match="x must"):
+        rho_of_x(ObservableMatrix(np.diag([1.0, 2.0, 3.0, 4.0])), x)
+
+
 def test_stochastic_omega_uniform_for_zero_observable():
     rng = np.random.default_rng(20)
     f = ObservableMatrix(np.zeros((4, 4)))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import PHI_PLUS
+from conftest import EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, PHI_PLUS
 
 from qbell.channels import BlockPartition, block_trace_first, block_trace_second
 from qbell.density import random_density, validate
+from qbell.entropy import check_subadditivity
 
 
 def test_partition_validation():
@@ -119,3 +120,17 @@ def test_dual_factorizations_give_different_reductions():
     assert b1.dim == 3 and b2.dim == 2
     # generic matrices give genuinely different reduced pairs
     assert np.max(np.abs(a1.mat - b2.mat)) > 1e-3
+
+
+def test_reductions_of_edge_states_are_accepted():
+    # Each reduced entry sums two entries of the input, so the reductions
+    # carry twice the input's defects; the block traces allow for that.
+    p = BlockPartition(2, 2)
+    neg = validate(EDGE_NEGATIVE_BLOCK)
+    assert abs(block_trace_first(neg, p).spectrum[0] + 1.8e-9) <= 1e-20
+    skew = validate(EDGE_SKEW_BLOCKS)
+    second = block_trace_second(skew, p)
+    assert abs(second.mat[0, 1] - second.mat[1, 0].conjugate() - 1.2e-10) <= 1e-20
+    for rho in (neg, skew):
+        report = check_subadditivity(rho, p)
+        assert report.subadditivity_holds and report.araki_lieb_holds

@@ -1,9 +1,10 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from conftest import PHI_PLUS
+from conftest import EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, PHI_PLUS
 
 from qbell.cli import InputError, format_json, main, matrix_to_file_dict, parse_matrix
 
@@ -105,6 +106,15 @@ def test_entropy_rejects_bad_partition(tmp_path, capsys):
     assert "does not factor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("state", [EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS],
+                         ids=["negative-block", "skew-blocks"])
+def test_entropy_accepts_edge_states(tmp_path, capsys, state):
+    path = _write(tmp_path, "edge.json", matrix_to_file_dict(state, label="edge"))
+    code, rep = _run(capsys, ["entropy", path, "--partition", "2", "2"])
+    assert code == 0
+    assert all(v["holds"] for v in rep["verdicts"])
+
+
 def test_tomogram_along_z(tmp_path, capsys):
     code, rep = _run(
         capsys, ["tomogram", _phi_plus_file(tmp_path), "--angles", "0", "0", "0", "0"]
@@ -165,6 +175,16 @@ def test_appendix_rejects_inadmissible_x(tmp_path, capsys):
     code = main(["appendix", _phi_plus_file(tmp_path), "--x", "0.5"])
     assert code == 2
     assert "strictly exceed" in capsys.readouterr().err
+
+
+def test_appendix_rejects_infinite_x_without_warnings(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["appendix", _phi_plus_file(tmp_path), "--x", "inf"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["qbell: error: x must be finite; got inf"]
+    assert caught == []
 
 
 def test_embed_qutrit_round_trips(tmp_path, capsys):

@@ -56,6 +56,18 @@ def test_validate_accepts_random_spectral_mixtures():
         validate(v @ np.diag(p) @ v.conj().T)
 
 
+@pytest.mark.parametrize("bad", [complex(np.inf, 0.0), complex(np.nan, 0.0),
+                                 complex(0.0, np.inf), complex(0.0, np.nan)],
+                         ids=["inf-real", "nan-real", "inf-imag", "nan-imag"])
+def test_validate_rejects_non_finite_entries(bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 2] = bad
+    # exactly one of the two parts carries the non-finite value
+    assert np.isfinite(m.real).all() != np.isfinite(m.imag).all()
+    with pytest.raises(ValueError, match="non-finite"):
+        validate(m)
+
+
 def test_density_matrix_is_read_only():
     rho = validate(np.eye(4) / 4)
     with pytest.raises(ValueError):

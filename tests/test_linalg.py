@@ -140,3 +140,18 @@ def test_adjoint_cases():
 def test_non_finite_entries_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         trace(np.array([[np.nan, 0], [0, 0]]))
+
+
+def test_kron_equals_numpy_kron_bit_for_bit_on_su2_pairs():
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        a = su2(EulerAngles(*rng.uniform(-7, 7, 3)))
+        b = su2(EulerAngles(*rng.uniform(-7, 7, 3)))
+        got, want = kron(a, b), np.kron(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_kron_rejects_non_matrices():
+    with pytest.raises(ValueError, match="2-D"):
+        kron(np.ones(2), np.eye(2))

@@ -5,7 +5,7 @@ import pytest
 from conftest import PHI_PLUS, random_unitary
 
 from qbell.density import random_density, random_separable, validate
-from qbell.tomography import EulerAngles, joint_tomogram, su2, tomogram
+from qbell.tomography import CLAMP_TOL, EulerAngles, joint_tomogram, su2, tomogram
 
 
 def test_su2_identity():
@@ -112,3 +112,36 @@ def test_joint_tomogram_of_separable_state_is_a_mixture_of_products():
             expected += p * np.outer(w1, w2).ravel()
         got = joint_tomogram(rho, a1, a2)
         assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def _reference_probabilities(rho, u):
+    probs = np.diag(u @ rho.mat @ u.conj().T).real.copy()
+    probs[(probs < 0.0) & (probs >= -CLAMP_TOL)] = 0.0
+    return probs
+
+
+def _assert_fresh_float_vector(probs):
+    assert probs.dtype == np.float64 and probs.ndim == 1
+    assert probs.flags.c_contiguous and probs.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
+def test_tomogram_matches_reference_bit_for_bit(dim):
+    rng = np.random.default_rng(100 + dim)
+    for seed in range(200):
+        rho = random_density(dim, seed)
+        u = random_unitary(rng, dim)
+        probs = tomogram(rho, u)
+        _assert_fresh_float_vector(probs)
+        assert probs.tobytes() == _reference_probabilities(rho, u).tobytes()
+
+
+def test_joint_tomogram_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(77)
+    for seed in range(500):
+        rho = random_density(4, seed)
+        a1, a2 = EulerAngles(*rng.uniform(-7, 7, 2)), EulerAngles(*rng.uniform(-7, 7, 2))
+        probs = joint_tomogram(rho, a1, a2)
+        _assert_fresh_float_vector(probs)
+        want = _reference_probabilities(rho, np.kron(su2(a1), su2(a2)))
+        assert probs.tobytes() == want.tobytes()
