@@ -27,7 +27,6 @@ from .bell import (
     BellSetting,
     OptimizerStats,
     bell_number,
-    bell_number_sign_form,
     classify,
     correlation,
     correlation_tensor,
@@ -52,7 +51,6 @@ from .density import (
 from .entropy import (
     DIVERGENT,
     EntropyReport,
-    check_araki_lieb,
     check_subadditivity,
     relative_entropy,
     von_neumann,
@@ -64,7 +62,7 @@ from .errors import (
     QbellError,
     TraceError,
 )
-from .linalg import EigenDecomposition, adjoint, hermitian_eigen, kron, matmul, trace
+from .linalg import kron
 from .tomography import EulerAngles, joint_tomogram, su2, tomogram
 
 __version__ = "0.1.0"
@@ -75,17 +73,14 @@ __all__ = [
     "separable_observable_check", "stochastic_omega",
     "CLASSIFY_TOL", "SEPARABLE_BOUND", "SIGN_MATRIX", "TSIRELSON_BOUND",
     "BellClass", "BellReport", "BellSetting", "OptimizerStats", "bell_number",
-    "bell_number_sign_form", "classify", "correlation", "correlation_tensor",
-    "maximize_bell",
+    "classify", "correlation", "correlation_tensor", "maximize_bell",
     "BlockPartition", "block_trace_first", "block_trace_second",
     "QUDIT_3_2", "TWO_QUBIT", "DensityMatrix", "IndexMap",
     "SeparableDecomposition", "embed_qutrit", "index_to_label",
     "label_to_index", "partial_transpose", "random_density",
     "random_separable", "separable_sample", "validate",
-    "DIVERGENT", "EntropyReport", "check_araki_lieb", "check_subadditivity",
-    "relative_entropy", "von_neumann",
+    "DIVERGENT", "EntropyReport", "check_subadditivity", "relative_entropy", "von_neumann",
     "DomainError", "HermiticityError", "PositivityError", "QbellError", "TraceError",
-    "EigenDecomposition", "adjoint", "hermitian_eigen", "kron", "matmul", "trace",
-    "EulerAngles", "joint_tomogram", "su2", "tomogram",
+    "kron", "EulerAngles", "joint_tomogram", "su2", "tomogram",
     "__version__",
 ]

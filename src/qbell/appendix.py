@@ -19,11 +19,9 @@ import numpy as np
 
 from . import linalg
 from .bell import SIGN_MATRIX, TSIRELSON_BOUND, BellSetting, bell_number
-from .density import DensityMatrix, SeparableDecomposition, validate
-from .errors import DomainError, HermiticityError
+from .density import HERM_TOL, DensityMatrix, SeparableDecomposition, hermitian_spectrum, validate
+from .errors import DomainError
 from .tomography import EulerAngles, su2, tomogram
-
-HERM_TOL = 1e-10
 
 
 class ObservableMatrix:
@@ -35,13 +33,7 @@ class ObservableMatrix:
         m = linalg.require_square(mat)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        mh = m.conj().T
-        defect = linalg.max_abs(m - mh)
-        if defect > HERM_TOL:
-            raise HermiticityError(
-                f"hermiticity defect {defect:.3e} exceeds tolerance {HERM_TOL:.1e}"
-            )
-        self._spectrum = np.linalg.eigvalsh((m + mh) / 2.0)
+        self._spectrum = hermitian_spectrum(m, HERM_TOL, "observable")
         m = m.copy()
         m.flags.writeable = False
         self._mat = m
@@ -105,7 +97,8 @@ def min_admissible_x(f: ObservableMatrix) -> float:
 
 
 def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
-    """Density matrix (f + x I) / (4 x + Tr f); requires finite x > max |f_j| strictly.
+    """Density matrix (f + x I) / (4 x + Tr f); requires x > max |f_j| strictly,
+    with 4 x + Tr f finite.
 
     The spectrum of the result is (f_j + x) / (4 x + Tr f).
     """
@@ -116,7 +109,11 @@ def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
         )
     if not math.isfinite(x):
         raise DomainError(f"x must be finite; got {x!r}")
-    denom = 4.0 * x + f.trace
+    denom = 4.0 * x
+    if math.isfinite(denom):  # then Tr f is finite too, since every |f_jj| < x
+        denom += f.trace
+    if not math.isfinite(denom):
+        raise DomainError(f"x must be small enough that 4 x + Tr f is finite; got {x!r}")
     return validate((f.mat + x * np.eye(4)) / denom)
 
 

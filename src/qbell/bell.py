@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityMatrix
-from .tomography import EulerAngles, joint_tomogram, su2
+from .tomography import EulerAngles, joint_tomogram
 
 # Row alpha = setting pair (a,b), (a,c), (d,b), (d,c); column beta = outcome
 # (+,+), (+,-), (-,+), (-,-). Entry = outcome sign times the setting sign
@@ -39,6 +39,8 @@ SEPARABLE_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 # Far above accumulated rounding, far below the 0.828 gap between bounds.
 CLASSIFY_TOL = 1e-6
+# maximize_bell halves its pattern-search step from pi/4 until it is below this.
+STEP_TOL = 1e-7
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -46,12 +48,6 @@ _PAULI = (
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
 _PAULI_KRON = np.array([[np.kron(p, q) for q in _PAULI] for p in _PAULI])
-
-
-def _direction_angles(angles: EulerAngles, name: str) -> EulerAngles:
-    if angles.psi != 0.0:
-        raise ValueError(f"measurement direction {name} must have psi == 0")
-    return angles
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,8 @@ class BellSetting:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            _direction_angles(getattr(self, name), name)
+            if getattr(self, name).psi != 0.0:
+                raise ValueError(f"measurement direction {name} must have psi == 0")
 
     @classmethod
     def from_flat(cls, values) -> "BellSetting":
@@ -126,23 +123,6 @@ def bell_number(rho: DensityMatrix, setting: BellSetting) -> float:
         + correlation(rho, setting.d, setting.b)
         - correlation(rho, setting.d, setting.c)
     )
-
-
-def bell_number_sign_form(rho: DensityMatrix, setting: BellSetting) -> float:
-    """Bell number as the trace of the sign matrix against the probability table.
-
-    The table's columns are the joint tomograms at the four setting pairs
-    (a,b), (a,c), (d,b), (d,c); its rows are outcomes. Agrees with
-    :func:`bell_number` to machine precision.
-    """
-    pairs = (
-        (setting.a, setting.b),
-        (setting.a, setting.c),
-        (setting.d, setting.b),
-        (setting.d, setting.c),
-    )
-    table = np.stack([joint_tomogram(rho, p, q) for p, q in pairs], axis=1)
-    return float(np.trace(SIGN_MATRIX @ table))
 
 
 def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
@@ -223,12 +203,11 @@ def maximize_bell(
     restarts: int = 8,
     seed: int = 0,
     max_evals: int = 40000,
-    step_tol: float = 1e-7,
 ) -> BellReport:
     """Search measurement settings maximizing |B| for a fixed state.
 
     Runs ``restarts`` independent pattern searches from seeded uniform
-    random angles, each shrinking its step from pi/4 until ``step_tol``.
+    random angles, each shrinking its step from pi/4 until :data:`STEP_TOL`.
     The per-restart random streams depend only on (seed, restart index), so
     results are reproducible and monotone in the number of restarts; ties
     keep the lowest restart index. The reported value is re-evaluated
@@ -244,7 +223,7 @@ def maximize_bell(
     for k in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         x0 = rng.uniform(0.0, 2.0 * math.pi, 8).tolist()
-        val, x, evals, ok = _pattern_search(fn, x0, math.pi / 4.0, step_tol, max_evals)
+        val, x, evals, ok = _pattern_search(fn, x0, math.pi / 4.0, STEP_TOL, max_evals)
         total_evals += evals
         converged = converged and ok
         if val > best_val:
@@ -252,29 +231,33 @@ def maximize_bell(
             best_x = x
     setting = BellSetting.from_flat(best_x)
     value = abs(bell_number(rho, setting))
+    separable, tsirelson = bounds_hold(value)
     return BellReport(
         value=value,
         setting=setting,
-        separable_bound_satisfied=value <= SEPARABLE_BOUND + CLASSIFY_TOL,
-        tsirelson_bound_satisfied=value <= TSIRELSON_BOUND + CLASSIFY_TOL,
+        separable_bound_satisfied=separable,
+        tsirelson_bound_satisfied=tsirelson,
         stats=OptimizerStats(restarts=restarts, evaluations=total_evals, converged=converged),
     )
 
 
-def classify(report: BellReport) -> BellClass:
-    """Place a Bell report relative to the separable and universal bounds.
+def bounds_hold(value: float) -> tuple:
+    """Whether |value| respects the separable bound 2 and the universal
+    ceiling 2 sqrt(2), each within :data:`CLASSIFY_TOL`."""
+    v = abs(value)
+    return v <= SEPARABLE_BOUND + CLASSIFY_TOL, v <= TSIRELSON_BOUND + CLASSIFY_TOL
+
+
+def classify(report) -> BellClass:
+    """Place a :class:`BellReport`, or a bare Bell value, relative to the
+    separable and universal bounds.
 
     Exceeding 2 sqrt(2) beyond tolerance is impossible for a valid density
     matrix and therefore flags a numerical or input defect.
     """
-    v = abs(report.value)
-    if v <= SEPARABLE_BOUND + CLASSIFY_TOL:
+    separable, tsirelson = bounds_hold(getattr(report, "value", report))
+    if separable:
         return BellClass.WITHIN_SEPARABLE_BOUND
-    if v <= TSIRELSON_BOUND + CLASSIFY_TOL:
+    if tsirelson:
         return BellClass.HIDDEN_BELL_CORRELATION
     return BellClass.TSIRELSON_VIOLATION_ERROR
-
-
-def setting_unitaries(setting: BellSetting):
-    """The four 2x2 rotations (a, d, b, c) realizing a setting."""
-    return (su2(setting.a), su2(setting.d), su2(setting.b), su2(setting.c))

@@ -17,6 +17,7 @@ Exit codes: 0 all requested checks hold, 1 an inequality is violated
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -168,12 +169,7 @@ def _angles_dict(a: tomography.EulerAngles) -> dict:
 
 
 def _setting_dict(s: bl.BellSetting) -> dict:
-    return {
-        "a": _angles_dict(s.a),
-        "d": _angles_dict(s.d),
-        "b": _angles_dict(s.b),
-        "c": _angles_dict(s.c),
-    }
+    return {k: _angles_dict(getattr(s, k)) for k in ("a", "d", "b", "c")}
 
 
 def _default_seed(args) -> int:
@@ -193,6 +189,15 @@ def _validated(mat) -> density.DensityMatrix:
         return density.validate(mat)
     except QbellError as e:
         raise InputError(f"matrix is not a valid density matrix: {e}") from e
+
+
+def _validated_4x4(args):
+    """The validated 4x4 state named by ``args.matrix``, and its label."""
+    mat, label = parse_matrix(args.matrix)
+    rho = _validated(mat)
+    if rho.dim != 4:
+        raise InputError(f"{args.command} subcommand needs a 4x4 matrix, got dim {rho.dim}")
+    return rho, label
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +247,7 @@ def cmd_entropy(args):
 
 
 def cmd_tomogram(args):
-    mat, label = parse_matrix(args.matrix)
-    rho = _validated(mat)
-    if rho.dim != 4:
-        raise InputError(f"tomogram subcommand needs a 4x4 matrix, got dim {rho.dim}")
+    rho, label = _validated_4x4(args)
     phi1, th1, phi2, th2 = args.angles
     probs = tomography.joint_tomogram(
         rho, tomography.EulerAngles(phi1, th1), tomography.EulerAngles(phi2, th2)
@@ -263,32 +265,18 @@ def cmd_tomogram(args):
     return _report("tomogram", label, verdicts, tol, result), 0 if holds else 1
 
 
-def _bell_verdicts(value: float):
-    return [
-        _verdict("separable_bound", value, bl.SEPARABLE_BOUND,
-                 value <= bl.SEPARABLE_BOUND + bl.CLASSIFY_TOL,
-                 bl.SEPARABLE_BOUND - value),
-        _verdict("tsirelson_bound", value, bl.TSIRELSON_BOUND,
-                 value <= bl.TSIRELSON_BOUND + bl.CLASSIFY_TOL,
-                 bl.TSIRELSON_BOUND - value),
-    ]
+def _bell_verdicts(value: float, names=("separable_bound", "tsirelson_bound")) -> list:
+    bounds = {"separable_bound": bl.SEPARABLE_BOUND, "tsirelson_bound": bl.TSIRELSON_BOUND}
+    holds = dict(zip(bounds, bl.bounds_hold(value)))
+    return [_verdict(n, value, bounds[n], holds[n], bounds[n] - value) for n in names]
 
 
 def cmd_bell(args):
-    mat, label = parse_matrix(args.matrix)
-    rho = _validated(mat)
-    if rho.dim != 4:
-        raise InputError(f"bell subcommand needs a 4x4 matrix, got dim {rho.dim}")
+    rho, label = _validated_4x4(args)
     setting = bl.BellSetting.from_flat(args.angles)
     b = bl.bell_number(rho, setting)
     value = abs(b)
-    report = bl.BellReport(
-        value=value, setting=setting,
-        separable_bound_satisfied=value <= bl.SEPARABLE_BOUND + bl.CLASSIFY_TOL,
-        tsirelson_bound_satisfied=value <= bl.TSIRELSON_BOUND + bl.CLASSIFY_TOL,
-        stats=bl.OptimizerStats(0, 0, True),
-    )
-    cls = bl.classify(report)
+    cls = bl.classify(value)
     tol = {"classify_tol": bl.CLASSIFY_TOL}
     result = {
         "setting": _setting_dict(setting),
@@ -301,20 +289,12 @@ def cmd_bell(args):
 
 
 def cmd_bell_max(args):
-    mat, label = parse_matrix(args.matrix)
-    rho = _validated(mat)
-    if rho.dim != 4:
-        raise InputError(f"bell-max subcommand needs a 4x4 matrix, got dim {rho.dim}")
+    rho, label = _validated_4x4(args)
     seed = _default_seed(args)
     rep = bl.maximize_bell(rho, restarts=args.restarts, seed=seed,
                            max_evals=args.max_evals)
     cls = bl.classify(rep)
-    tol = {"classify_tol": bl.CLASSIFY_TOL, "step_tol": 1e-7}
-    optimizer = {
-        "restarts": rep.stats.restarts,
-        "evaluations": rep.stats.evaluations,
-        "converged": rep.stats.converged,
-    }
+    tol = {"classify_tol": bl.CLASSIFY_TOL, "step_tol": bl.STEP_TOL}
     result = {
         "value": rep.value,
         "setting": _setting_dict(rep.setting),
@@ -322,7 +302,7 @@ def cmd_bell_max(args):
     }
     code = 1 if cls is bl.BellClass.TSIRELSON_VIOLATION_ERROR else 0
     return _report("bell-max", label, _bell_verdicts(rep.value), tol, result,
-                   seed=seed, optimizer=optimizer), code
+                   seed=seed, optimizer=dataclasses.asdict(rep.stats)), code
 
 
 def cmd_appendix(args):
@@ -337,39 +317,16 @@ def cmd_appendix(args):
         raise InputError(str(e)) from e
 
     seed = _default_seed(args)
-    optimizer = None
     if args.angles is not None:
-        v = args.angles
-        quad = apx.UnitaryQuadruple(
-            u1=tomography.EulerAngles(v[0], v[1]),
-            u2=tomography.EulerAngles(v[2], v[3]),
-            u3=tomography.EulerAngles(v[4], v[5]),
-            u4=tomography.EulerAngles(v[6], v[7]),
-        )
-        value = apx.appendix_bell_value(f, args.x, quad)
+        setting, optimizer = bl.BellSetting.from_flat(args.angles), None
     else:
         opt = bl.maximize_bell(rho, restarts=args.restarts, seed=seed,
                                max_evals=args.max_evals)
-        s = opt.setting
-        quad = apx.UnitaryQuadruple(u1=s.a, u2=s.d, u3=s.b, u4=s.c)
-        value = apx.appendix_bell_value(f, args.x, quad)
-        optimizer = {
-            "restarts": opt.stats.restarts,
-            "evaluations": opt.stats.evaluations,
-            "converged": opt.stats.converged,
-        }
+        setting, optimizer = opt.setting, dataclasses.asdict(opt.stats)
+    quad = apx.UnitaryQuadruple(u1=setting.a, u2=setting.d, u3=setting.b, u4=setting.c)
+    value = apx.appendix_bell_value(f, args.x, quad)
 
-    verdicts = [
-        _verdict("tsirelson_bound", value, bl.TSIRELSON_BOUND,
-                 value <= bl.TSIRELSON_BOUND + bl.CLASSIFY_TOL,
-                 bl.TSIRELSON_BOUND - value),
-    ]
-    observable_check = None
-    if float(f.spectrum[0]) > 0.0:
-        chk = apx.observable_bound_check(f, quad)
-        verdicts.append(_verdict("observable_bound", chk.value, chk.bound,
-                                 chk.holds, chk.slack))
-        observable_check = {"value": chk.value, "bound": chk.bound, "holds": chk.holds}
+    verdicts = _bell_verdicts(value, ("tsirelson_bound",))
     tol = {"classify_tol": bl.CLASSIFY_TOL}
     result = {
         "x": float(args.x),
@@ -379,8 +336,11 @@ def cmd_appendix(args):
         "rho_x_spectrum": [float(v) for v in rho.spectrum],
         "consistency_gap": apx.consistency_gap(f, args.x, quad),
     }
-    if observable_check is not None:
-        result["observable_check"] = observable_check
+    if float(f.spectrum[0]) > 0.0:
+        chk = apx.observable_bound_check(f, quad)
+        verdicts.append(_verdict("observable_bound", chk.value, chk.bound,
+                                 chk.holds, chk.slack))
+        result["observable_check"] = {"value": chk.value, "bound": chk.bound, "holds": chk.holds}
     code = 0 if all(v["holds"] for v in verdicts) else 1
     return _report("appendix", label, verdicts, tol, result,
                    seed=(seed if optimizer is not None else None),
@@ -479,13 +439,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report, code = _HANDLERS[args.command](args)
-    except InputError as e:
-        print(f"qbell: error: {e}", file=sys.stderr)
-        return 2
-    except QbellError as e:
-        print(f"qbell: error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (InputError, ValueError) as e:
         print(f"qbell: error: {e}", file=sys.stderr)
         return 2
     if args.command != "embed-qutrit":

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import HermiticityError, PositivityError, TraceError
+from .errors import HermiticityError, PositivityError, QbellError, TraceError
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -48,6 +49,32 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, spectrum={np.round(self._spectrum, 6)})"
 
 
+def hermitian_spectrum(m: np.ndarray, herm_tol: float, stage: str) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of a square matrix.
+
+    The package's one hermiticity check: the max-norm of m - m† must not
+    exceed ``herm_tol``. A spectrum that overflows float64 raises
+    :class:`QbellError` naming ``stage``.
+    """
+    # Halving first keeps entries near the float64 limit finite: bit for bit,
+    # 2 max|m/2 - m†/2| is max|m - m†| and m/2 + m†/2 is (m + m†)/2.
+    half = m * 0.5
+    half_h = half.conj().T
+    defect = 2.0 * linalg.max_abs(half - half_h)
+    if defect > herm_tol:
+        raise HermiticityError(
+            f"hermiticity defect {defect:.3e} exceeds tolerance {herm_tol:.1e}"
+        )
+    spectrum = np.linalg.eigvalsh(half + half_h)
+    # Ascending, so an eigenvalue that overflowed shows at one end.
+    if not (math.isfinite(spectrum[0]) and math.isfinite(spectrum[-1])):
+        raise QbellError(
+            f"{stage}: eigenvalues overflow float64 "
+            f"(largest entry modulus {linalg.max_abs(m):.3e})"
+        )
+    return spectrum
+
+
 def validate(
     mat,
     herm_tol: float = HERM_TOL,
@@ -57,21 +84,17 @@ def validate(
     """Check the three density-matrix invariants and wrap the matrix.
 
     Raises :class:`HermiticityError`, :class:`TraceError` or
-    :class:`PositivityError`, each naming the offending magnitude. The
-    computed spectrum is cached on the returned object.
+    :class:`PositivityError`, checked in that order, each naming the
+    offending magnitude; see :func:`hermitian_spectrum` for entries so large
+    that the spectrum overflows. The computed spectrum is cached on the
+    returned object.
     """
     # The one copy: the caller keeps its array, the result owns this one.
     m = linalg.require_square(np.array(mat, dtype=np.complex128, order="C"))
-    mh = m.conj().T
-    defect = linalg.max_abs(m - mh)
-    if defect > herm_tol:
-        raise HermiticityError(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {herm_tol:.1e}"
-        )
+    spectrum = hermitian_spectrum(m, herm_tol, "validate")
     tr = complex(m.trace())
     if abs(tr - 1.0) > trace_tol:
         raise TraceError(f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}")
-    spectrum = np.linalg.eigvalsh((m + mh) / 2.0)
     if spectrum[0] < -psd_tol:
         raise PositivityError(
             f"negative eigenvalue {spectrum[0]:.6e} below tolerance -{psd_tol:.1e}"
@@ -104,8 +127,6 @@ TWO_QUBIT = _make_index_map(
 )
 # Single four-level system read as spin j=3/2 projections, descending.
 QUDIT_3_2 = _make_index_map("qudit_3_2", [1.5, 0.5, -0.5, -1.5])
-
-INDEX_MAPS = {m.kind: m for m in (TWO_QUBIT, QUDIT_3_2)}
 
 
 def label_to_index(index_map: IndexMap, label) -> int:
@@ -211,7 +232,7 @@ def separable_sample(seed, terms: int) -> DensityMatrix:
     return validate(random_separable(seed, terms).matrix())
 
 
-def partial_transpose(rho, partition=None) -> np.ndarray:
+def partial_transpose(rho) -> np.ndarray:
     """Transpose the second tensor factor of a 4x4 matrix (2x2 blocks).
 
     For 2 kron 2 systems a negative eigenvalue of the result certifies
@@ -219,7 +240,6 @@ def partial_transpose(rho, partition=None) -> np.ndarray:
     plain matrix because it may be indefinite.
     """
     m = rho.mat if isinstance(rho, DensityMatrix) else linalg.require_square(rho)
-    n, msz = (partition.n, partition.m) if partition is not None else (2, 2)
-    if (n, msz) != (2, 2) or m.shape != (4, 4):
+    if m.shape != (4, 4):
         raise ValueError("partial_transpose is defined for 4x4 matrices split 2x2")
     return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()

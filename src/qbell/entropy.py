@@ -67,7 +67,9 @@ class EntropyReport:
     slack_al: float
 
 
-def _report(rho: DensityMatrix, p: BlockPartition) -> EntropyReport:
+def check_subadditivity(rho: DensityMatrix, p: BlockPartition) -> EntropyReport:
+    """Verify S(joint) <= S(first) + S(second) (subadditivity) and
+    S(joint) >= |S(first) - S(second)| (Araki-Lieb) for the given block partition."""
     s_joint = von_neumann(rho)
     s_first = von_neumann(block_trace_first(rho, p))
     s_second = von_neumann(block_trace_second(rho, p))
@@ -83,16 +85,6 @@ def _report(rho: DensityMatrix, p: BlockPartition) -> EntropyReport:
         slack_sub=mutual,
         slack_al=slack_al,
     )
-
-
-def check_subadditivity(rho: DensityMatrix, p: BlockPartition) -> EntropyReport:
-    """Verify S(joint) <= S(first) + S(second) for the given block partition."""
-    return _report(rho, p)
-
-
-def check_araki_lieb(rho: DensityMatrix, p: BlockPartition) -> EntropyReport:
-    """Verify S(joint) >= |S(first) - S(second)| for the given block partition."""
-    return _report(rho, p)
 
 
 def relative_entropy(w1, w2):

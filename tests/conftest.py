@@ -1,5 +1,8 @@
 import numpy as np
 
+from qbell.bell import SIGN_MATRIX
+from qbell.tomography import joint_tomogram
+
 # Maximally entangled test matrix: the rank-1 projector onto
 # (|1> + |4>)/sqrt(2) in the 4-level basis.
 PHI_PLUS = 0.5 * np.array(
@@ -19,6 +22,24 @@ def random_unitary(rng, n):
     q, r = np.linalg.qr(g)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def bell_number_sign_form(rho, setting):
+    """Oracle for criterion 8: the Bell number as the trace of the sign
+    matrix against the probability table.
+
+    The table's columns are the joint tomograms at the four setting pairs
+    (a,b), (a,c), (d,b), (d,c); its rows are outcomes. Agrees with
+    ``qbell.bell.bell_number`` to machine precision.
+    """
+    pairs = (
+        (setting.a, setting.b),
+        (setting.a, setting.c),
+        (setting.d, setting.b),
+        (setting.d, setting.c),
+    )
+    table = np.stack([joint_tomogram(rho, p, q) for p, q in pairs], axis=1)
+    return float(np.trace(SIGN_MATRIX @ table))
 
 
 def random_hermitian(rng, n, scale=1.0):

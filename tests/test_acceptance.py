@@ -12,7 +12,7 @@ import sys
 import time
 
 import numpy as np
-from conftest import PHI_PLUS, random_hermitian
+from conftest import PHI_PLUS, bell_number_sign_form, random_hermitian
 
 from qbell.appendix import (
     ObservableMatrix,
@@ -21,12 +21,7 @@ from qbell.appendix import (
     min_admissible_x,
     rho_of_x,
 )
-from qbell.bell import (
-    BellSetting,
-    bell_number,
-    bell_number_sign_form,
-    maximize_bell,
-)
+from qbell.bell import BellSetting, bell_number, maximize_bell
 from qbell.bell import _PAULI_KRON  # test-side batch oracle reuses the constants
 from qbell.channels import BlockPartition
 from qbell.cli import main

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qbell.appendix import (
 )
 from qbell.bell import TSIRELSON_BOUND, BellSetting, bell_number, maximize_bell
 from qbell.density import random_density, random_separable
-from qbell.errors import DomainError, HermiticityError
+from qbell.errors import DomainError, HermiticityError, QbellError
 from qbell.tomography import EulerAngles
 
 CHSH_OPTIMAL_QUAD = UnitaryQuadruple(
@@ -53,6 +54,21 @@ def test_observable_requires_hermitian_4x4():
         ObservableMatrix(np.eye(3))
 
 
+def test_observable_with_entries_near_the_float_limit_has_its_exact_spectrum():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = ObservableMatrix(np.diag([1e308, 1.0, 1.0, 1.0]))
+    assert f.spectrum.tolist() == [1.0, 1.0, 1.0, 1e308]
+
+
+def test_observable_rejects_a_spectrum_that_overflows():
+    huge = 1e308 * (np.ones((4, 4)) - np.eye(4)) + np.eye(4) / 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QbellError, match="observable: eigenvalues overflow"):
+            ObservableMatrix(huge)
+
+
 def test_rho_of_zero_observable_is_maximally_mixed():
     f = ObservableMatrix(np.zeros((4, 4)))
     rho = rho_of_x(f, 1.0)
@@ -84,10 +100,18 @@ def test_rho_of_x_rejects_small_shift():
         rho_of_x(f, 1.0)
 
 
-@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e308])
 def test_rho_of_x_rejects_non_finite_shift(x):
     with pytest.raises(DomainError, match="x must"):
         rho_of_x(ObservableMatrix(np.diag([1.0, 2.0, 3.0, 4.0])), x)
+
+
+def test_rho_of_x_rejects_an_overflowing_shift_without_warnings():
+    f = ObservableMatrix(np.diag([1e308, 1e308, 1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="x must be small enough"):
+            rho_of_x(f, 1.5e308)
 
 
 def test_stochastic_omega_uniform_for_zero_observable():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import PHI_PLUS
+from conftest import PHI_PLUS, bell_number_sign_form
 
 from qbell.bell import (
     CLASSIFY_TOL,
@@ -14,7 +14,6 @@ from qbell.bell import (
     BellSetting,
     OptimizerStats,
     bell_number,
-    bell_number_sign_form,
     classify,
     correlation,
     correlation_tensor,
@@ -202,6 +201,7 @@ def _report_with_value(v):
 )
 def test_classify(value, expected):
     assert classify(_report_with_value(value)) is expected
+    assert classify(value) is classify(-value) is expected
 
 
 def test_report_bound_flags_are_consistent():

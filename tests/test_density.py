@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import PHI_PLUS, random_unitary
@@ -16,7 +18,7 @@ from qbell.density import (
     separable_sample,
     validate,
 )
-from qbell.errors import HermiticityError, PositivityError, TraceError
+from qbell.errors import HermiticityError, PositivityError, QbellError, TraceError
 
 
 def test_validate_maximally_mixed():
@@ -45,6 +47,24 @@ def test_validate_rejects_non_hermitian():
 def test_validate_rejects_bad_trace():
     with pytest.raises(TraceError, match="deviates"):
         validate(np.eye(4) / 2)
+
+
+def test_validate_reads_entries_near_the_float_limit_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PositivityError, match="-1.000000e\\+308"):
+            validate(np.diag([1e308, -1e308, 1.0, 0.0]))
+        with pytest.raises(HermiticityError, match="defect inf"):
+            validate(np.array([[0.5, 1e308], [-1e308, 0.5]]))
+
+
+def test_validate_rejects_a_spectrum_that_overflows():
+    # trace 1, entries finite, largest eigenvalue 3e308
+    huge = 1e308 * (np.ones((4, 4)) - np.eye(4)) + np.eye(4) / 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QbellError, match="validate: eigenvalues overflow"):
+            validate(huge)
 
 
 def test_validate_accepts_random_spectral_mixtures():

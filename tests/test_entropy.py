@@ -9,7 +9,6 @@ from qbell.density import embed_qutrit, random_density, validate
 from qbell.entropy import (
     DIVERGENT,
     Divergent,
-    check_araki_lieb,
     check_subadditivity,
     relative_entropy,
     von_neumann,
@@ -75,12 +74,12 @@ def test_subadditivity_for_embedded_uniform_qutrit():
 
 
 def test_araki_lieb_equalities():
-    rep = check_araki_lieb(validate(PHI_PLUS), BlockPartition(2, 2))
+    rep = check_subadditivity(validate(PHI_PLUS), BlockPartition(2, 2))
     assert rep.araki_lieb_holds
     assert abs(rep.slack_al) <= 1e-12
 
     prod = validate(np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2))
-    rep = check_araki_lieb(prod, BlockPartition(2, 2))
+    rep = check_subadditivity(prod, BlockPartition(2, 2))
     assert abs(rep.s_joint - math.log(2)) <= 1e-12
     assert abs(rep.slack_al) <= 1e-12
     assert rep.araki_lieb_holds
