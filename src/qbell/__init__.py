@@ -28,7 +28,6 @@ from .bell import (
     OptimizerStats,
     bell_number,
     classify,
-    correlation,
     correlation_tensor,
     maximize_bell,
 )
@@ -73,7 +72,7 @@ __all__ = [
     "separable_observable_check", "stochastic_omega",
     "CLASSIFY_TOL", "SEPARABLE_BOUND", "SIGN_MATRIX", "TSIRELSON_BOUND",
     "BellClass", "BellReport", "BellSetting", "OptimizerStats", "bell_number",
-    "classify", "correlation", "correlation_tensor", "maximize_bell",
+    "classify", "correlation_tensor", "maximize_bell",
     "BlockPartition", "block_trace_first", "block_trace_second",
     "QUDIT_3_2", "TWO_QUBIT", "DensityMatrix", "IndexMap",
     "SeparableDecomposition", "embed_qutrit", "index_to_label",

@@ -49,7 +49,9 @@ class ObservableMatrix:
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self._mat).real)
+        # A finite spectrum can still have a trace beyond float64: that is inf.
+        with np.errstate(over="ignore"):
+            return float(np.trace(self._mat).real)
 
 
 @dataclass(frozen=True)
@@ -124,32 +126,25 @@ def stochastic_omega(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> np.n
     return np.stack([tomogram(rho, u) for u in q.product_unitaries()], axis=0)
 
 
-def _sign_contraction(rows: np.ndarray) -> float:
-    # rows indexed by setting, columns by outcome, matching SIGN_MATRIX.
-    return float(np.sum(SIGN_MATRIX * rows))
-
-
 def appendix_bell_value(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> float:
     """|contraction of the sign pattern against the stochastic matrix|.
 
     Equals |Bell number| of rho(x) at the setting a=u1, d=u2, b=u3, c=u4.
     """
-    return abs(_sign_contraction(stochastic_omega(f, x, q)))
-
-
-def _observable_rows(f_mat: np.ndarray, q: UnitaryQuadruple) -> np.ndarray:
-    rows = [np.diag(u @ f_mat @ u.conj().T).real for u in q.product_unitaries()]
-    return np.stack(rows, axis=0)
+    # Rows of omega are indexed by setting, columns by outcome, as in SIGN_MATRIX.
+    return abs(float(np.sum(SIGN_MATRIX * stochastic_omega(f, x, q))))
 
 
 def observable_bound_check(f: ObservableMatrix, q: UnitaryQuadruple) -> BoundCheck:
-    """For positive-definite f: |sign contraction of f's rotated diagonals|
-    against the bound 2 sqrt(2) Tr f."""
+    """For positive-definite f: |Bell number of f| at ``q`` against the bound
+    2 sqrt(2) Tr f."""
     bad = [float(v) for v in f.spectrum if v <= 0.0]
     if bad:
         raise DomainError(f"observable must be positive definite; eigenvalues {bad} are not")
-    value = abs(_sign_contraction(_observable_rows(f.mat, q)))
     bound = TSIRELSON_BOUND * f.trace
+    if not math.isfinite(bound):
+        raise DomainError(f"observable_bound_check: 2 sqrt(2) Tr f overflows; Tr f = {f.trace!r}")
+    value = abs(bell_number(f.mat, q.as_setting()))
     return BoundCheck(value=value, bound=bound, holds=value <= bound + 1e-9)
 
 
@@ -165,10 +160,6 @@ def separable_observable_check(
         raise TypeError(
             "separable_observable_check requires a SeparableDecomposition witness"
         )
-    value = abs(_sign_contraction(_observable_rows(witness.matrix(), q)))
+    # Not validated: a witness's weights may sum to 1 within 1e-9, beyond TRACE_TOL.
+    value = abs(bell_number(witness.matrix(), q.as_setting()))
     return BoundCheck(value=value, bound=2.0, holds=value <= 2.0 + 1e-9)
-
-
-def consistency_gap(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> float:
-    """|appendix value  -  |Bell number of rho(x)||; a cross-module identity."""
-    return abs(appendix_bell_value(f, x, q) - abs(bell_number(rho_of_x(f, x), q.as_setting())))

@@ -5,8 +5,10 @@ The Bell number combines four correlation functions,
     B = E(a, b) + E(a, c) + E(d, b) - E(d, c),
 
 where each E is the signed sum of joint-tomogram probabilities over the
-outcome signs (+1, -1, -1, +1). Separable matrices satisfy |B| <= 2; every
-valid density matrix satisfies the universal ceiling |B| <= 2 sqrt(2).
+outcome signs (+1, -1, -1, +1), evaluated here as n1 . T . n2 with the Pauli
+correlation tensor T (Horodecki, Phys. Lett. A 200, 340 (1995)). Separable
+matrices satisfy |B| <= 2; every valid density matrix satisfies the
+universal ceiling |B| <= 2 sqrt(2).
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .density import DensityMatrix
-from .tomography import EulerAngles, joint_tomogram
+from .tomography import EulerAngles
 
 # Row alpha = setting pair (a,b), (a,c), (d,b), (d,c); column beta = outcome
 # (+,+), (+,-), (-,+), (-,-). Entry = outcome sign times the setting sign
@@ -32,8 +35,6 @@ SIGN_MATRIX = np.array(
     ],
     dtype=np.int64,
 )
-
-OUTCOME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 SEPARABLE_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -110,35 +111,29 @@ class BellReport:
     stats: OptimizerStats
 
 
-def correlation(rho: DensityMatrix, d1: EulerAngles, d2: EulerAngles) -> float:
-    """Signed two-outcome correlation <m1 m2> for directions d1, d2."""
-    return float(OUTCOME_SIGNS @ joint_tomogram(rho, d1, d2))
+def bell_number(rho, setting: BellSetting) -> float:
+    """Signed Bell number of a 4x4 state at ``setting``.
+
+    Linear in the matrix, so it also accepts any 4x4 matrix, such as an
+    observable, read through :func:`correlation_tensor`.
+    """
+    return _objective(correlation_tensor(rho))(setting.to_flat())
 
 
-def bell_number(rho: DensityMatrix, setting: BellSetting) -> float:
-    """Bell number via the four correlation functions."""
-    return (
-        correlation(rho, setting.a, setting.b)
-        + correlation(rho, setting.a, setting.c)
-        + correlation(rho, setting.d, setting.b)
-        - correlation(rho, setting.d, setting.c)
-    )
-
-
-def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
-    """3x3 tensor T[i, j] = Tr(rho sigma_i kron sigma_j).
+def correlation_tensor(rho) -> np.ndarray:
+    """3x3 tensor T[i, j] = Tr(rho sigma_i kron sigma_j) of a 4x4 state or matrix.
 
     The correlation for directions n1, n2 is the bilinear form n1 . T . n2,
-    which lets the optimizer evaluate the Bell functional in a few dozen
-    scalar operations.
+    which evaluates the Bell functional in a few dozen scalar operations.
     """
-    if rho.dim != 4:
-        raise ValueError(f"correlation tensor needs a 4x4 state, got dim {rho.dim}")
-    return np.einsum("ijkl,lk->ij", _PAULI_KRON, rho.mat).real
+    m = rho.mat if isinstance(rho, DensityMatrix) else linalg.require_square(rho)
+    if m.shape[0] != 4:
+        raise ValueError(f"correlation tensor needs a 4x4 state, got dim {m.shape[0]}")
+    return np.einsum("ijkl,lk->ij", _PAULI_KRON, m).real
 
 
-def _objective(rho: DensityMatrix):
-    t = correlation_tensor(rho)
+def _objective(t: np.ndarray):
+    """Signed Bell number as a function of the eight flat angles, for tensor t."""
     t00, t01, t02 = (float(v) for v in t[0])
     t10, t11, t12 = (float(v) for v in t[1])
     t20, t21, t22 = (float(v) for v in t[2])
@@ -160,20 +155,21 @@ def _objective(rho: DensityMatrix):
             ra0 * (bx + cx) + ra1 * (by + cy) + ra2 * (bz + cz)
             + rd0 * (bx - cx) + rd1 * (by - cy) + rd2 * (bz - cz)
         )
-        return abs(b)
+        return b
 
     return value
 
 
 def _pattern_search(fn, x0, step0: float, step_tol: float, max_evals: int):
-    """Coordinate pattern search; the step halves after each stalled sweep.
+    """Coordinate pattern search maximizing |fn|; the step halves after each
+    stalled sweep.
 
     A move only counts as progress if it clears a forcing threshold
     proportional to step^2; without it the search can ridge-follow with
     sub-epsilon gains and never shrink its step.
     """
     x = list(x0)
-    best = fn(x)
+    best = abs(fn(x))
     evals = 1
     step = step0
     while step > step_tol:
@@ -185,7 +181,7 @@ def _pattern_search(fn, x0, step0: float, step_tol: float, max_evals: int):
                     return best, x, evals, False
                 old = x[i]
                 x[i] = old + delta
-                cand = fn(x)
+                cand = abs(fn(x))
                 evals += 1
                 if cand > gate:
                     best = cand
@@ -210,12 +206,12 @@ def maximize_bell(
     random angles, each shrinking its step from pi/4 until :data:`STEP_TOL`.
     The per-restart random streams depend only on (seed, restart index), so
     results are reproducible and monotone in the number of restarts; ties
-    keep the lowest restart index. The reported value is re-evaluated
-    through the tomogram-based :func:`bell_number` at the best setting.
+    keep the lowest restart index. The reported value is the |B| the search
+    found, equal to ``abs(bell_number(rho, setting))`` bit for bit.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    fn = _objective(rho)
+    fn = _objective(correlation_tensor(rho))
     best_val = -math.inf
     best_x = None
     total_evals = 0
@@ -229,12 +225,10 @@ def maximize_bell(
         if val > best_val:
             best_val = val
             best_x = x
-    setting = BellSetting.from_flat(best_x)
-    value = abs(bell_number(rho, setting))
-    separable, tsirelson = bounds_hold(value)
+    separable, tsirelson = bounds_hold(best_val)
     return BellReport(
-        value=value,
-        setting=setting,
+        value=best_val,
+        setting=BellSetting.from_flat(best_x),
         separable_bound_satisfied=separable,
         tsirelson_bound_satisfied=tsirelson,
         stats=OptimizerStats(restarts=restarts, evaluations=total_evals, converged=converged),

@@ -334,7 +334,8 @@ def cmd_appendix(args):
         "quadruple": {k: _angles_dict(getattr(quad, k)) for k in ("u1", "u2", "u3", "u4")},
         "value": value,
         "rho_x_spectrum": [float(v) for v in rho.spectrum],
-        "consistency_gap": apx.consistency_gap(f, args.x, quad),
+        # The stochastic-matrix contraction against the tensor form.
+        "consistency_gap": abs(value - abs(bl.bell_number(rho, setting))),
     }
     if float(f.spectrum[0]) > 0.0:
         chk = apx.observable_bound_check(f, quad)

@@ -75,12 +75,7 @@ def hermitian_spectrum(m: np.ndarray, herm_tol: float, stage: str) -> np.ndarray
     return spectrum
 
 
-def validate(
-    mat,
-    herm_tol: float = HERM_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-) -> DensityMatrix:
+def validate(mat, traced: int = 1) -> DensityMatrix:
     """Check the three density-matrix invariants and wrap the matrix.
 
     Raises :class:`HermiticityError`, :class:`TraceError` or
@@ -88,16 +83,19 @@ def validate(
     offending magnitude; see :func:`hermitian_spectrum` for entries so large
     that the spectrum overflows. The computed spectrum is cached on the
     returned object.
+
+    For a block trace over ``traced`` blocks of a valid state, whose defects
+    it sums, the hermiticity and positivity tolerances scale by ``traced``.
     """
     # The one copy: the caller keeps its array, the result owns this one.
     m = linalg.require_square(np.array(mat, dtype=np.complex128, order="C"))
-    spectrum = hermitian_spectrum(m, herm_tol, "validate")
+    spectrum = hermitian_spectrum(m, HERM_TOL * traced, "validate")
     tr = complex(m.trace())
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise TraceError(f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}")
-    if spectrum[0] < -psd_tol:
+    if spectrum[0] < -PSD_TOL * traced:
         raise PositivityError(
-            f"negative eigenvalue {spectrum[0]:.6e} below tolerance -{psd_tol:.1e}"
+            f"negative eigenvalue {spectrum[0]:.6e} below tolerance -{PSD_TOL * traced:.1e}"
         )
     return DensityMatrix(m, spectrum)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import BlockPartition, block_trace_first, block_trace_second
-from .density import DensityMatrix
+from .density import PSD_TOL, DensityMatrix
 
 NUM_TOL = 1e-9
 EPS_SUPPORT = 1e-12
@@ -99,7 +99,8 @@ def relative_entropy(w1, w2):
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"expected two equal-length vectors, got {a.shape} and {b.shape}")
     for name, v in (("w1", a), ("w2", b)):
-        if np.min(v) < -EPS_SUPPORT:
+        # A tomogram of a state validate accepted can read as low as -PSD_TOL.
+        if np.min(v) < -PSD_TOL:
             raise ValueError(f"{name} has negative entry {np.min(v)}")
         if abs(float(np.sum(v)) - 1.0) > NUM_TOL:
             raise ValueError(f"{name} sums to {float(np.sum(v))}, expected 1")

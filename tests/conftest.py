@@ -24,6 +24,19 @@ def random_unitary(rng, n):
     return q * (d / np.abs(d))
 
 
+def correlation(rho, d1, d2):
+    """Signed two-outcome correlation <m1 m2> for directions d1, d2: the sum
+    of the joint tomogram weighted by the outcome signs (+1, -1, -1, +1)."""
+    return float(np.array([1.0, -1.0, -1.0, 1.0]) @ joint_tomogram(rho, d1, d2))
+
+
+def observable_bell_value(f_mat, quad):
+    """Oracle for the observable bound checks: |sign contraction of the
+    diagonals of f rotated by the four product unitaries of ``quad``|."""
+    rows = np.stack([np.diag(u @ f_mat @ u.conj().T).real for u in quad.product_unitaries()])
+    return abs(float(np.sum(SIGN_MATRIX * rows)))
+
+
 def bell_number_sign_form(rho, setting):
     """Oracle for criterion 8: the Bell number as the trace of the sign
     matrix against the probability table.

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import PHI_PLUS, random_hermitian
+from conftest import PHI_PLUS, observable_bell_value, random_hermitian
 
 from qbell.appendix import (
     ObservableMatrix,
@@ -16,7 +16,7 @@ from qbell.appendix import (
     stochastic_omega,
 )
 from qbell.bell import TSIRELSON_BOUND, BellSetting, bell_number, maximize_bell
-from qbell.density import random_density, random_separable
+from qbell.density import SeparableDecomposition, random_density, random_separable
 from qbell.errors import DomainError, HermiticityError, QbellError
 from qbell.tomography import EulerAngles
 
@@ -205,6 +205,40 @@ def test_observable_bound_holds_for_positive_definite_inputs():
         assert observable_bound_check(f, _random_quad(rng)).holds
 
 
+def test_observable_checks_match_the_rotated_diagonal_form():
+    rng = np.random.default_rng(31)
+    for seed in range(200):
+        h = random_hermitian(rng, 4)
+        f = ObservableMatrix(h + (abs(np.linalg.eigvalsh(h)[0]) + 0.1) * np.eye(4))
+        q = _random_quad(rng)
+        want = observable_bell_value(f.mat, q)
+        assert abs(observable_bound_check(f, q).value - want) <= 1e-12 * max(1.0, want)
+        witness = random_separable(seed, 1 + seed % 4)
+        want = observable_bell_value(witness.matrix(), q)
+        assert abs(separable_observable_check(witness, q).value - want) <= 1e-12 * max(1.0, want)
+
+
+def test_separable_observable_accepts_weights_within_the_witness_tolerance():
+    # The weights sum to 1 + 5e-10: a valid witness, but its matrix's trace
+    # is outside validate's trace tolerance.
+    rng = np.random.default_rng(32)
+    p, m = np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex) / 2
+    witness = SeparableDecomposition((0.5, 0.5 + 5e-10), (p, m), (p, p))
+    q = _random_quad(rng)
+    want = observable_bell_value(witness.matrix(), q)
+    chk = separable_observable_check(witness, q)
+    assert abs(chk.value - want) <= 1e-12 * max(1.0, want)
+    assert chk.holds
+
+
+def test_observable_bound_rejects_an_overflowing_trace_without_warnings():
+    f = ObservableMatrix(np.diag([1e308, 1e308, 1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="observable_bound_check: .*Tr f"):
+            observable_bound_check(f, CHSH_OPTIMAL_QUAD)
+
+
 def test_observable_bound_rejects_indefinite_spectrum():
     f = ObservableMatrix(np.diag([1.0, -1.0, 1.0, 1.0]))
     with pytest.raises(DomainError, match="-1.0"):
@@ -213,8 +247,6 @@ def test_observable_bound_rejects_indefinite_spectrum():
 
 def test_separable_observable_single_term_reaches_two():
     p = np.diag([1.0, 0.0]).astype(complex)
-    from qbell.density import SeparableDecomposition
-
     witness = SeparableDecomposition((1.0,), (p,), (p,))
     chk = separable_observable_check(witness, IDENTITY_QUAD)
     assert abs(chk.value - 2.0) <= 1e-12

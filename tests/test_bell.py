@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import PHI_PLUS, bell_number_sign_form
+from conftest import PHI_PLUS, bell_number_sign_form, correlation
 
 from qbell.bell import (
     CLASSIFY_TOL,
@@ -15,7 +15,6 @@ from qbell.bell import (
     OptimizerStats,
     bell_number,
     classify,
-    correlation,
     correlation_tensor,
     maximize_bell,
 )
@@ -158,6 +157,15 @@ def test_maximize_on_embedded_qutrits_stays_below_ceiling():
         rho = embed_qutrit(random_density(3, seed))
         rep = maximize_bell(rho, restarts=8, seed=seed)
         assert rep.value <= TSIRELSON_BOUND + 1e-9
+
+
+def test_maximize_reports_the_bell_number_of_its_setting():
+    states = [separable_sample(seed, 1 + seed % 4) for seed in range(10)]
+    states += [random_density(4, seed) for seed in range(10)]
+    states += [embed_qutrit(random_density(3, seed)) for seed in range(10)]
+    for k, rho in enumerate(states):
+        rep = maximize_bell(rho, restarts=2, seed=k)
+        assert rep.value == abs(bell_number(rho, rep.setting))
 
 
 def test_maximize_is_deterministic():

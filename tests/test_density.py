@@ -49,6 +49,26 @@ def test_validate_rejects_bad_trace():
         validate(np.eye(4) / 2)
 
 
+def test_validate_scales_hermiticity_and_positivity_tolerances_by_traced():
+    negative = np.diag([-1.5e-9, 1.0 + 1.5e-9])
+    with pytest.raises(PositivityError, match="below tolerance -1.0e-09"):
+        validate(negative)
+    assert validate(negative, traced=2).spectrum[0] == -1.5e-9
+    with pytest.raises(PositivityError, match="below tolerance -2.0e-09"):
+        validate(np.diag([-2.5e-9, 1.0 + 2.5e-9]), traced=2)
+    skew = np.eye(2, dtype=complex) / 2
+    skew[0, 1] = 1.5e-10
+    with pytest.raises(HermiticityError, match="exceeds tolerance 1.0e-10"):
+        validate(skew)
+    validate(skew, traced=2)
+    skew[0, 1] = 3e-10
+    with pytest.raises(HermiticityError, match="exceeds tolerance 2.0e-10"):
+        validate(skew, traced=2)
+    # the trace tolerance does not scale
+    with pytest.raises(TraceError):
+        validate(np.diag([0.5, 0.5 + 2e-10]), traced=4)
+
+
 def test_validate_reads_entries_near_the_float_limit_without_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -13,7 +13,7 @@ from qbell.entropy import (
     relative_entropy,
     von_neumann,
 )
-from qbell.tomography import tomogram
+from qbell.tomography import EulerAngles, joint_tomogram, tomogram
 
 
 def test_entropy_of_maximally_mixed():
@@ -120,6 +120,17 @@ def test_relative_entropy_input_validation():
         relative_entropy([0.5, 0.4], [0.5, 0.5])
     with pytest.raises(ValueError, match="negative"):
         relative_entropy([1.1, -0.1], [0.5, 0.5])
+
+
+def test_relative_entropy_of_a_tomogram_at_the_positivity_edge():
+    # validate accepts an eigenvalue at -5e-10, so the on-axis tomogram has
+    # that entry; it carries no weight, as in the clipped distribution.
+    rho = validate(np.diag([-5e-10, 0.2, 0.3, 0.5 + 5e-10]))
+    w = joint_tomogram(rho, EulerAngles(0.0, 0.0), EulerAngles(0.0, 0.0))
+    assert w[0] == -5e-10
+    clipped = np.clip(w, 0.0, None)
+    want = sum(p * math.log(p / 0.25) for p in clipped if p > 0.0)
+    assert abs(relative_entropy(w, np.full(4, 0.25)) - want) <= 1e-15
 
 
 def test_relative_entropy_of_tomograms_is_nonnegative():
