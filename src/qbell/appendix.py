@@ -7,7 +7,7 @@ Any Hermitian f can be shifted and scaled into a valid density matrix
 whose tomograms under four product rotations form a row-stochastic matrix.
 Contracting that matrix against the CHSH sign pattern is bounded by
 2 sqrt(2); for positive-definite f the same contraction applied to f itself
-is bounded by 2 sqrt(2) Tr f, and by 2 when f carries a separability witness.
+is bounded by 2 sqrt(2) Tr f, and by 2 Tr f when f carries a separability witness.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from . import linalg
 from .bell import SIGN_MATRIX, TSIRELSON_BOUND, BellSetting, bell_number
-from .density import HERM_TOL, DensityMatrix, SeparableDecomposition, hermitian_spectrum, validate
+from .density import HERM_TOL, PSD_TOL, DensityMatrix, SeparableDecomposition
+from .density import hermitian_spectrum, validate
 from .errors import DomainError
 from .tomography import EulerAngles, su2, tomogram
 
@@ -145,21 +146,24 @@ def observable_bound_check(f: ObservableMatrix, q: UnitaryQuadruple) -> BoundChe
     if not math.isfinite(bound):
         raise DomainError(f"observable_bound_check: 2 sqrt(2) Tr f overflows; Tr f = {f.trace!r}")
     value = abs(bell_number(f.mat, q.as_setting()))
-    return BoundCheck(value=value, bound=bound, holds=value <= bound + 1e-9)
+    return BoundCheck(value=value, bound=bound, holds=value <= bound + PSD_TOL)
 
 
 def separable_observable_check(
     witness: SeparableDecomposition, q: UnitaryQuadruple
 ) -> BoundCheck:
-    """Bound 2 for an observable carrying a separability witness.
+    """Bound 2 Tr f for an observable carrying a separability witness.
 
     The argument must be the witnessed construction itself, not a bare
     matrix: separability is certified by construction, never decided here.
+    Each term p (A kron B) contributes at most 2 p, so the bound is twice the
+    weight sum, which the witness holds to 1 within ``PSD_TOL``.
     """
     if not isinstance(witness, SeparableDecomposition):
         raise TypeError(
             "separable_observable_check requires a SeparableDecomposition witness"
         )
-    # Not validated: a witness's weights may sum to 1 within 1e-9, beyond TRACE_TOL.
+    # Not validated: the weight sum may miss 1 by more than TRACE_TOL.
     value = abs(bell_number(witness.matrix(), q.as_setting()))
-    return BoundCheck(value=value, bound=2.0, holds=value <= 2.0 + 1e-9)
+    bound = 2.0 * sum(witness.weights)
+    return BoundCheck(value=value, bound=bound, holds=value <= bound + PSD_TOL)

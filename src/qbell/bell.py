@@ -40,8 +40,10 @@ SEPARABLE_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 # Far above accumulated rounding, far below the 0.828 gap between bounds.
 CLASSIFY_TOL = 1e-6
-# maximize_bell halves its pattern-search step from pi/4 until it is below this.
+# maximize_bell halves its pattern-search step from pi/4 until it is below this,
+# or until a restart has spent MAX_EVALS evaluations.
 STEP_TOL = 1e-7
+MAX_EVALS = 40000
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -160,9 +162,9 @@ def _objective(t: np.ndarray):
     return value
 
 
-def _pattern_search(fn, x0, step0: float, step_tol: float, max_evals: int):
-    """Coordinate pattern search maximizing |fn|; the step halves after each
-    stalled sweep.
+def _pattern_search(fn, x0):
+    """Coordinate pattern search maximizing |fn|; the step starts at pi/4 and
+    halves after each stalled sweep.
 
     A move only counts as progress if it clears a forcing threshold
     proportional to step^2; without it the search can ridge-follow with
@@ -171,13 +173,13 @@ def _pattern_search(fn, x0, step0: float, step_tol: float, max_evals: int):
     x = list(x0)
     best = abs(fn(x))
     evals = 1
-    step = step0
-    while step > step_tol:
+    step = math.pi / 4.0
+    while step > STEP_TOL:
         gate = best + 1e-4 * step * step
         improved = False
         for i in range(len(x)):
             for delta in (step, -step):
-                if evals >= max_evals:
+                if evals >= MAX_EVALS:
                     return best, x, evals, False
                 old = x[i]
                 x[i] = old + delta
@@ -194,32 +196,26 @@ def _pattern_search(fn, x0, step0: float, step_tol: float, max_evals: int):
     return best, x, evals, True
 
 
-def maximize_bell(
-    rho: DensityMatrix,
-    restarts: int = 8,
-    seed: int = 0,
-    max_evals: int = 40000,
-) -> BellReport:
+def maximize_bell(rho: DensityMatrix, restarts: int = 8, seed: int = 0) -> BellReport:
     """Search measurement settings maximizing |B| for a fixed state.
 
     Runs ``restarts`` independent pattern searches from seeded uniform
-    random angles, each shrinking its step from pi/4 until :data:`STEP_TOL`.
-    The per-restart random streams depend only on (seed, restart index), so
-    results are reproducible and monotone in the number of restarts; ties
-    keep the lowest restart index. The reported value is the |B| the search
-    found, equal to ``abs(bell_number(rho, setting))`` bit for bit.
+    random angles, each shrinking its step from pi/4 until :data:`STEP_TOL`
+    within :data:`MAX_EVALS` evaluations. The per-restart random streams
+    depend only on (seed, restart index), so results are reproducible and
+    monotone in the number of restarts; ties keep the lowest restart index.
+    The reported value is the |B| the search found, equal to
+    ``abs(bell_number(rho, setting))`` bit for bit.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     fn = _objective(correlation_tensor(rho))
-    best_val = -math.inf
-    best_x = None
-    total_evals = 0
-    converged = True
+    best_val, best_x = -math.inf, None
+    total_evals, converged = 0, True
     for k in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         x0 = rng.uniform(0.0, 2.0 * math.pi, 8).tolist()
-        val, x, evals, ok = _pattern_search(fn, x0, math.pi / 4.0, STEP_TOL, max_evals)
+        val, x, evals, ok = _pattern_search(fn, x0)
         total_evals += evals
         converged = converged and ok
         if val > best_val:

@@ -20,7 +20,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 
@@ -172,18 +171,6 @@ def _setting_dict(s: bl.BellSetting) -> dict:
     return {k: _angles_dict(getattr(s, k)) for k in ("a", "d", "b", "c")}
 
 
-def _default_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QBELL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"QBELL_SEED must be an integer, got {env!r}") from None
-    return 0
-
-
 def _validated(mat) -> density.DensityMatrix:
     try:
         return density.validate(mat)
@@ -234,7 +221,7 @@ def cmd_entropy(args):
         _verdict("araki_lieb", rep.s_joint, abs(rep.s_first - rep.s_second),
                  rep.araki_lieb_holds, rep.slack_al),
     ]
-    tol = {"num_tol": entropy.NUM_TOL}
+    tol = {"num_tol": density.PSD_TOL}
     result = {
         "partition": {"n": n, "m": m},
         "s_joint": rep.s_joint,
@@ -253,10 +240,10 @@ def cmd_tomogram(args):
         rho, tomography.EulerAngles(phi1, th1), tomography.EulerAngles(phi2, th2)
     )
     total = float(np.sum(probs))
-    holds = abs(total - 1.0) <= entropy.NUM_TOL
+    holds = abs(total - 1.0) <= density.PSD_TOL
     verdicts = [_verdict("normalization", total, 1.0, holds,
-                         entropy.NUM_TOL - abs(total - 1.0))]
-    tol = {"num_tol": entropy.NUM_TOL, "clamp_tol": tomography.CLAMP_TOL}
+                         density.PSD_TOL - abs(total - 1.0))]
+    tol = {"num_tol": density.PSD_TOL, "clamp_tol": density.CLAMP_TOL}
     result = {
         "angles": {"first": {"phi": phi1, "theta": th1},
                    "second": {"phi": phi2, "theta": th2}},
@@ -290,9 +277,7 @@ def cmd_bell(args):
 
 def cmd_bell_max(args):
     rho, label = _validated_4x4(args)
-    seed = _default_seed(args)
-    rep = bl.maximize_bell(rho, restarts=args.restarts, seed=seed,
-                           max_evals=args.max_evals)
+    rep = bl.maximize_bell(rho, restarts=args.restarts, seed=args.seed)
     cls = bl.classify(rep)
     tol = {"classify_tol": bl.CLASSIFY_TOL, "step_tol": bl.STEP_TOL}
     result = {
@@ -302,7 +287,7 @@ def cmd_bell_max(args):
     }
     code = 1 if cls is bl.BellClass.TSIRELSON_VIOLATION_ERROR else 0
     return _report("bell-max", label, _bell_verdicts(rep.value), tol, result,
-                   seed=seed, optimizer=dataclasses.asdict(rep.stats)), code
+                   seed=args.seed, optimizer=dataclasses.asdict(rep.stats)), code
 
 
 def cmd_appendix(args):
@@ -316,12 +301,10 @@ def cmd_appendix(args):
     except QbellError as e:
         raise InputError(str(e)) from e
 
-    seed = _default_seed(args)
     if args.angles is not None:
         setting, optimizer = bl.BellSetting.from_flat(args.angles), None
     else:
-        opt = bl.maximize_bell(rho, restarts=args.restarts, seed=seed,
-                               max_evals=args.max_evals)
+        opt = bl.maximize_bell(rho, restarts=args.restarts, seed=args.seed)
         setting, optimizer = opt.setting, dataclasses.asdict(opt.stats)
     quad = apx.UnitaryQuadruple(u1=setting.a, u2=setting.d, u3=setting.b, u4=setting.c)
     value = apx.appendix_bell_value(f, args.x, quad)
@@ -344,7 +327,7 @@ def cmd_appendix(args):
         result["observable_check"] = {"value": chk.value, "bound": chk.bound, "holds": chk.holds}
     code = 0 if all(v["holds"] for v in verdicts) else 1
     return _report("appendix", label, verdicts, tol, result,
-                   seed=(seed if optimizer is not None else None),
+                   seed=(args.seed if optimizer is not None else None),
                    optimizer=optimizer), code
 
 
@@ -367,10 +350,7 @@ def _add_matrix_arg(p):
 
 def _add_optimizer_args(p):
     p.add_argument("--restarts", type=int, default=8, help="optimizer restarts (default 8)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="PRNG seed (default: QBELL_SEED env var, else 0)")
-    p.add_argument("--max-evals", type=int, default=40000,
-                   help="evaluation budget per restart (default 40000)")
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,11 +10,17 @@ import numpy as np
 from . import linalg
 from .errors import HermiticityError, PositivityError, QbellError, TraceError
 
+# The package's tolerances, each defined once; every layer imports them.
+# HERM_TOL: max-norm rounding defect of an O(1) matrix (hermiticity, unitarity).
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
-# Looser than the hermiticity tolerance: eigenvalues of near-boundary
-# matrices accumulate more rounding error than entrywise comparisons.
+# The least eigenvalue of a state, so also of its tomograms, and the base margin
+# of every later verdict. Looser than HERM_TOL: eigenvalues accumulate more rounding.
 PSD_TOL = 1e-9
+# Tomogram entries in [-CLAMP_TOL, 0) read as 0; entries at or below it carry no
+# weight. Not derived from PSD_TOL: a clamp that wide would move raw tomograms
+# past the benchmark oracles' PROB_TOL (bench/workloads.py).
+CLAMP_TOL = 1e-12
 
 
 class DensityMatrix:
@@ -85,7 +91,8 @@ def validate(mat, traced: int = 1) -> DensityMatrix:
     returned object.
 
     For a block trace over ``traced`` blocks of a valid state, whose defects
-    it sums, the hermiticity and positivity tolerances scale by ``traced``.
+    it sums, the hermiticity and positivity tolerances scale by ``traced``;
+    positivity also allows each of the ``traced - 1`` sums ``HERM_TOL`` of rounding.
     """
     # The one copy: the caller keeps its array, the result owns this one.
     m = linalg.require_square(np.array(mat, dtype=np.complex128, order="C"))
@@ -93,9 +100,10 @@ def validate(mat, traced: int = 1) -> DensityMatrix:
     tr = complex(m.trace())
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceError(f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}")
-    if spectrum[0] < -PSD_TOL * traced:
+    psd_tol = PSD_TOL * traced + HERM_TOL * (traced - 1)
+    if spectrum[0] < -psd_tol:
         raise PositivityError(
-            f"negative eigenvalue {spectrum[0]:.6e} below tolerance -{PSD_TOL * traced:.1e}"
+            f"negative eigenvalue {spectrum[0]:.6e} below tolerance -{psd_tol:.1e}"
         )
     return DensityMatrix(m, spectrum)
 
@@ -189,10 +197,10 @@ class SeparableDecomposition:
             raise ValueError("weights and factor lists must have equal length")
         if len(self.weights) == 0:
             raise ValueError("decomposition needs at least one term")
-        if min(self.weights) < -1e-12:
+        if min(self.weights) < -CLAMP_TOL:
             raise ValueError(f"negative weight {min(self.weights)}")
         total = sum(self.weights)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > PSD_TOL:
             raise ValueError(f"weights sum to {total}, expected 1")
         for side in (self.first_factors, self.second_factors):
             for f in side:

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .density import DensityMatrix
-
-UNITARY_TOL = 1e-10
-CLAMP_TOL = 1e-12
+from .density import CLAMP_TOL, HERM_TOL, DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ def su2(angles: EulerAngles) -> np.ndarray:
 def tomogram(rho: DensityMatrix, u) -> np.ndarray:
     """Outcome distribution: the diagonal of u rho u†.
 
-    ``u`` must be unitary within ``UNITARY_TOL`` and match the state's
+    ``u`` must be unitary within ``HERM_TOL`` and match the state's
     dimension. Rounding negatives above ``-CLAMP_TOL`` are clamped to 0.
     """
     um = linalg.require_square(u)
@@ -68,7 +65,7 @@ def tomogram(rho: DensityMatrix, u) -> np.ndarray:
     # A fresh C-contiguous product, so ravel() is a view: this subtracts I.
     gram.ravel()[:: rho.dim + 1] -= 1.0
     defect = linalg.max_abs(gram)
-    if defect > UNITARY_TOL:
+    if defect > HERM_TOL:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
     probs = (um @ rho.mat @ uh).diagonal().real.copy()
     probs[(probs < 0.0) & (probs >= -CLAMP_TOL)] = 0.0

@@ -231,6 +231,19 @@ def test_separable_observable_accepts_weights_within_the_witness_tolerance():
     assert chk.holds
 
 
+@pytest.mark.parametrize("excess", [9.9e-10, -9.9e-10])
+def test_separable_observable_bound_is_twice_the_weight_sum(excess):
+    # The +z projector product reaches 2 Tr at the identity quadruple, and
+    # the witness accepts weights summing to 1 within PSD_TOL, so a bound
+    # fixed at 2 fails a witness the constructor accepted.
+    p = np.diag([1.0, 0.0]).astype(complex)
+    witness = SeparableDecomposition((0.5, 0.5 + excess), (p, p), (p, p))
+    chk = separable_observable_check(witness, IDENTITY_QUAD)
+    assert chk.bound == 2.0 * sum(witness.weights)
+    assert abs(chk.value - chk.bound) <= 1e-15
+    assert chk.holds
+
+
 def test_observable_bound_rejects_an_overflowing_trace_without_warnings():
     f = ObservableMatrix(np.diag([1e308, 1e308, 1.0, 1.0]))
     with warnings.catch_warnings():

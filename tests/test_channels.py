@@ -3,8 +3,9 @@ import pytest
 from conftest import EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, PHI_PLUS
 
 from qbell.channels import BlockPartition, block_trace_first, block_trace_second
-from qbell.density import random_density, validate
+from qbell.density import HERM_TOL, PSD_TOL, random_density, validate
 from qbell.entropy import check_subadditivity
+from qbell.tomography import EulerAngles, su2
 
 
 def test_partition_validation():
@@ -134,3 +135,12 @@ def test_reductions_of_edge_states_are_accepted():
     for rho in (neg, skew):
         report = check_subadditivity(rho, p)
         assert report.subadditivity_holds and report.araki_lieb_holds
+
+
+def test_reductions_at_the_exact_positivity_edge_allow_for_rounding():
+    # Two eigenvalues at exactly -PSD_TOL land in the same reduced entry;
+    # rounding in the rotation takes the sum just below -2 PSD_TOL.
+    u = np.kron(np.eye(2), su2(EulerAngles(0.0, 1.5)))
+    rho = validate(u @ np.diag([-1e-9, 0.25, -1e-9, 0.75 + 2e-9]) @ u.conj().T)
+    second = block_trace_second(rho, BlockPartition(2, 2))
+    assert -(2 * PSD_TOL + HERM_TOL) <= second.spectrum[0] < -2 * PSD_TOL

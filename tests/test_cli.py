@@ -148,14 +148,14 @@ def test_bell_max_finds_the_optimum(tmp_path, capsys):
     assert rep["optimizer"]["converged"] is True
 
 
-def test_bell_max_seed_env_fallback(tmp_path, capsys, monkeypatch):
-    path = _phi_plus_file(tmp_path)
-    monkeypatch.setenv("QBELL_SEED", "7")
-    _, rep_env = _run(capsys, ["bell-max", path, "--restarts", "4"])
-    monkeypatch.delenv("QBELL_SEED")
-    _, rep_flag = _run(capsys, ["bell-max", path, "--restarts", "4", "--seed", "7"])
-    assert rep_env["result"] == rep_flag["result"]
-    assert rep_env["seed"] == 7
+@pytest.mark.parametrize("command, options", [("bell-max", []), ("appendix", ["--x", "10"])])
+def test_max_evals_is_a_usage_error(tmp_path, capsys, command, options):
+    # The per-restart budget is the constant bell.MAX_EVALS: a budget of 0
+    # used to exit 0 with |B| = 1.28 for a state whose value is 2 sqrt(2).
+    code = main([command, _phi_plus_file(tmp_path), *options, "--max-evals", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unrecognized arguments: --max-evals 0" in captured.err
 
 
 def test_appendix_with_fixed_angles(tmp_path, capsys):

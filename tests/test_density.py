@@ -54,7 +54,7 @@ def test_validate_scales_hermiticity_and_positivity_tolerances_by_traced():
     with pytest.raises(PositivityError, match="below tolerance -1.0e-09"):
         validate(negative)
     assert validate(negative, traced=2).spectrum[0] == -1.5e-9
-    with pytest.raises(PositivityError, match="below tolerance -2.0e-09"):
+    with pytest.raises(PositivityError, match="below tolerance -2.1e-09"):
         validate(np.diag([-2.5e-9, 1.0 + 2.5e-9]), traced=2)
     skew = np.eye(2, dtype=complex) / 2
     skew[0, 1] = 1.5e-10

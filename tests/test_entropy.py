@@ -5,7 +5,7 @@ import pytest
 from conftest import PHI_PLUS, random_unitary
 
 from qbell.channels import BlockPartition
-from qbell.density import embed_qutrit, random_density, validate
+from qbell.density import PSD_TOL, embed_qutrit, random_density, validate
 from qbell.entropy import (
     DIVERGENT,
     Divergent,
@@ -85,6 +85,15 @@ def test_araki_lieb_equalities():
     assert rep.araki_lieb_holds
 
 
+def test_subadditivity_holds_at_the_positivity_edge():
+    # The eigenvalue at -1e-9 lowers the second reduction's 1/9 by 1e-9,
+    # which moves its entropy by 1.2e-9, beyond PSD_TOL.
+    rep = check_subadditivity(validate(np.diag([1 / 9, 8 / 9 + 1e-9, -1e-9, 0.0])),
+                              BlockPartition(2, 2))
+    assert -1.3e-9 < rep.slack_sub < -PSD_TOL
+    assert rep.subadditivity_holds and rep.araki_lieb_holds
+
+
 @pytest.mark.parametrize("dim,partition", [(4, (2, 2)), (6, (2, 3)), (6, (3, 2))])
 def test_both_inequalities_hold_on_random_states(dim, partition):
     p = BlockPartition(*partition)
@@ -131,6 +140,25 @@ def test_relative_entropy_of_a_tomogram_at_the_positivity_edge():
     clipped = np.clip(w, 0.0, None)
     want = sum(p * math.log(p / 0.25) for p in clipped if p > 0.0)
     assert abs(relative_entropy(w, np.full(4, 0.25)) - want) <= 1e-15
+
+
+def test_relative_entropy_accepts_a_tomogram_rounded_past_the_edge():
+    # An on-axis tomogram of an eigenvalue at exactly -PSD_TOL picks up the
+    # rounding of the rotation's phases.
+    rho = validate(np.diag([0.0, 0.0, 1.0 + 1e-9, -1e-9]))
+    w = joint_tomogram(rho, EulerAngles(0.0, 0.0), EulerAngles(5.8125, 0.0))
+    assert w[3] < -PSD_TOL
+    assert relative_entropy(w, w) == 0.0
+
+
+def test_relative_entropy_within_tolerance_of_distributions_is_not_negative():
+    # Three eigenvalues at the positivity edge leave the fourth on-axis entry
+    # at 1 + 3e-9, so the raw sum is ln(1 / (1 + 3e-9)) < -PSD_TOL.
+    axis = EulerAngles(0.0, 0.0)
+    w2 = joint_tomogram(validate(np.diag([-1e-9, -1e-9, -1e-9, 1 + 3e-9])), axis, axis)
+    w1 = joint_tomogram(validate(np.diag([0.0, 0.0, 0.0, 1.0])), axis, axis)
+    assert relative_entropy(w1, w2) == 0.0
+    assert relative_entropy(w1, w1) == 0.0
 
 
 def test_relative_entropy_of_tomograms_is_nonnegative():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from conftest import PHI_PLUS, random_unitary
 
-from qbell.density import random_density, random_separable, validate
-from qbell.tomography import CLAMP_TOL, EulerAngles, joint_tomogram, su2, tomogram
+from qbell.density import CLAMP_TOL, random_density, random_separable, validate
+from qbell.tomography import EulerAngles, joint_tomogram, su2, tomogram
 
 
 def test_su2_identity():
