@@ -33,14 +33,9 @@ from .bell import (
 )
 from .channels import BlockPartition, block_trace_first, block_trace_second
 from .density import (
-    QUDIT_3_2,
-    TWO_QUBIT,
     DensityMatrix,
-    IndexMap,
     SeparableDecomposition,
     embed_qutrit,
-    index_to_label,
-    label_to_index,
     partial_transpose,
     random_density,
     random_separable,
@@ -74,10 +69,9 @@ __all__ = [
     "BellClass", "BellReport", "BellSetting", "OptimizerStats", "bell_number",
     "classify", "correlation_tensor", "maximize_bell",
     "BlockPartition", "block_trace_first", "block_trace_second",
-    "QUDIT_3_2", "TWO_QUBIT", "DensityMatrix", "IndexMap",
-    "SeparableDecomposition", "embed_qutrit", "index_to_label",
-    "label_to_index", "partial_transpose", "random_density",
-    "random_separable", "separable_sample", "validate",
+    "DensityMatrix", "SeparableDecomposition", "embed_qutrit",
+    "partial_transpose", "random_density", "random_separable",
+    "separable_sample", "validate",
     "DIVERGENT", "EntropyReport", "check_subadditivity", "relative_entropy", "von_neumann",
     "DomainError", "HermiticityError", "PositivityError", "QbellError", "TraceError",
     "kron", "EulerAngles", "joint_tomogram", "su2", "tomogram",

@@ -84,11 +84,14 @@ class UnitaryQuadruple:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Value of a contraction, the bound it must respect, and the verdict."""
+    """Value of a contraction and the bound it must respect within ``PSD_TOL``."""
 
     value: float
     bound: float
-    holds: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.value <= self.bound + PSD_TOL
 
     @property
     def slack(self) -> float:
@@ -146,7 +149,7 @@ def observable_bound_check(f: ObservableMatrix, q: UnitaryQuadruple) -> BoundChe
     if not math.isfinite(bound):
         raise DomainError(f"observable_bound_check: 2 sqrt(2) Tr f overflows; Tr f = {f.trace!r}")
     value = abs(bell_number(f.mat, q.as_setting()))
-    return BoundCheck(value=value, bound=bound, holds=value <= bound + PSD_TOL)
+    return BoundCheck(value=value, bound=bound)
 
 
 def separable_observable_check(
@@ -165,5 +168,4 @@ def separable_observable_check(
         )
     # Not validated: the weight sum may miss 1 by more than TRACE_TOL.
     value = abs(bell_number(witness.matrix(), q.as_setting()))
-    bound = 2.0 * sum(witness.weights)
-    return BoundCheck(value=value, bound=bound, holds=value <= bound + PSD_TOL)
+    return BoundCheck(value=value, bound=2.0 * sum(witness.weights))

@@ -104,12 +104,10 @@ class OptimizerStats:
 
 @dataclass(frozen=True)
 class BellReport:
-    """Largest |B| found, the realizing setting, and bound verdicts."""
+    """Largest |B| found, the realizing setting, and how the search ran."""
 
     value: float
     setting: BellSetting
-    separable_bound_satisfied: bool
-    tsirelson_bound_satisfied: bool
     stats: OptimizerStats
 
 
@@ -221,12 +219,9 @@ def maximize_bell(rho: DensityMatrix, restarts: int = 8, seed: int = 0) -> BellR
         if val > best_val:
             best_val = val
             best_x = x
-    separable, tsirelson = bounds_hold(best_val)
     return BellReport(
         value=best_val,
         setting=BellSetting.from_flat(best_x),
-        separable_bound_satisfied=separable,
-        tsirelson_bound_satisfied=tsirelson,
         stats=OptimizerStats(restarts=restarts, evaluations=total_evals, converged=converged),
     )
 

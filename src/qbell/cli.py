@@ -92,9 +92,13 @@ def _as_real_grid(name: str, value, dim: int):
         for v in row:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise InputError(f"field {name!r} contains a non-numeric entry {v!r}")
-            if not math.isfinite(v):
+            try:
+                x = float(v)
+            except OverflowError:
+                raise InputError(f"field {name!r} contains an integer too large for float64") from None
+            if not math.isfinite(x):
                 raise InputError(f"field {name!r} contains a non-finite entry {v!r}")
-            out_row.append(float(v))
+            out_row.append(x)
         grid.append(out_row)
     return grid
 
@@ -106,6 +110,8 @@ def parse_matrix(path: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except (RecursionError, ValueError) as e:  # nesting too deep, an integer too long
+        raise InputError(f"JSON parse error: {e}") from None
     if not isinstance(doc, dict):
         raise InputError(f"matrix file must be a JSON object: {SCHEMA_HELP}")
     unknown = set(doc) - {"dim", "re", "im", "label"}
@@ -221,7 +227,7 @@ def cmd_entropy(args):
         _verdict("araki_lieb", rep.s_joint, abs(rep.s_first - rep.s_second),
                  rep.araki_lieb_holds, rep.slack_al),
     ]
-    tol = {"num_tol": density.PSD_TOL}
+    tol = {"num_tol": density.PSD_TOL, "entropy_margin": rep.margin}
     result = {
         "partition": {"n": n, "m": m},
         "s_joint": rep.s_joint,
@@ -296,10 +302,7 @@ def cmd_appendix(args):
         f = apx.ObservableMatrix(mat)
     except QbellError as e:
         raise InputError(f"matrix is not a valid observable: {e}") from e
-    try:
-        rho = apx.rho_of_x(f, args.x)
-    except QbellError as e:
-        raise InputError(str(e)) from e
+    rho = apx.rho_of_x(f, args.x)
 
     if args.angles is not None:
         setting, optimizer = bl.BellSetting.from_flat(args.angles), None

@@ -1,4 +1,4 @@
-"""Validated density matrices, index conventions, embeddings and samplers."""
+"""Validated density matrices, embeddings and samplers."""
 
 from __future__ import annotations
 
@@ -106,49 +106,6 @@ def validate(mat, traced: int = 1) -> DensityMatrix:
             f"negative eigenvalue {spectrum[0]:.6e} below tolerance -{psd_tol:.1e}"
         )
     return DensityMatrix(m, spectrum)
-
-
-# ---------------------------------------------------------------------------
-# Index conventions between composite labels and linear indices 1..4.
-
-@dataclass(frozen=True)
-class IndexMap:
-    """Bijection between outcome labels and 1-based linear indices."""
-
-    kind: str
-    forward: dict
-    backward: dict
-
-
-def _make_index_map(kind: str, labels) -> IndexMap:
-    forward = {label: k + 1 for k, label in enumerate(labels)}
-    backward = {k + 1: label for k, label in enumerate(labels)}
-    return IndexMap(kind, forward, backward)
-
-
-# Two spin-1/2 subsystems: (m1, m2) with m = +-1/2, enumerated (+,+), (+,-),
-# (-,+), (-,-).
-TWO_QUBIT = _make_index_map(
-    "two_qubit", [(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5)]
-)
-# Single four-level system read as spin j=3/2 projections, descending.
-QUDIT_3_2 = _make_index_map("qudit_3_2", [1.5, 0.5, -0.5, -1.5])
-
-
-def label_to_index(index_map: IndexMap, label) -> int:
-    try:
-        return index_map.forward[label]
-    except KeyError:
-        raise ValueError(f"unknown label {label!r} for map {index_map.kind!r}") from None
-
-
-def index_to_label(index_map: IndexMap, index: int):
-    try:
-        return index_map.backward[index]
-    except KeyError:
-        raise ValueError(
-            f"index {index!r} outside 1..{len(index_map.backward)} for map {index_map.kind!r}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------

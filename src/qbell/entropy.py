@@ -16,25 +16,8 @@ from .channels import BlockPartition, block_trace_first, block_trace_second
 from .density import CLAMP_TOL, HERM_TOL, PSD_TOL, DensityMatrix
 
 
-class Divergent:
-    """Marker for an infinite relative entropy.
-
-    A distinguished singleton rather than ``float('inf')`` so reports can
-    serialize it portably.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "DIVERGENT"
-
-
-DIVERGENT = Divergent()
+# The relative entropy of distributions with disjoint support.
+DIVERGENT = math.inf
 
 
 def von_neumann(rho: DensityMatrix) -> float:
@@ -52,7 +35,8 @@ def von_neumann(rho: DensityMatrix) -> float:
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Joint and reduced entropies plus both inequality verdicts (nats)."""
+    """Joint and reduced entropies plus both inequality verdicts (nats), and
+    the margin by which a slack may read below zero and still hold."""
 
     s_joint: float
     s_first: float
@@ -62,6 +46,7 @@ class EntropyReport:
     araki_lieb_holds: bool
     slack_sub: float
     slack_al: float
+    margin: float
 
 
 def _entropy_margin(rho: DensityMatrix) -> float:
@@ -96,6 +81,7 @@ def check_subadditivity(rho: DensityMatrix, p: BlockPartition) -> EntropyReport:
         araki_lieb_holds=slack_al >= -margin,
         slack_sub=mutual,
         slack_al=slack_al,
+        margin=margin,
     )
 
 
@@ -103,8 +89,8 @@ def relative_entropy(w1, w2):
     """Kullback-Leibler divergence sum w1 ln(w1/w2) between two distributions.
 
     Entries of ``w1`` at or below ``CLAMP_TOL`` contribute nothing;
-    if ``w1`` has support where ``w2`` has none the result is the
-    :data:`DIVERGENT` marker. The result is never negative.
+    if ``w1`` has support where ``w2`` has none the result is
+    :data:`DIVERGENT`, which is ``math.inf``. The result is never negative.
     """
     a = np.asarray(w1, dtype=float)
     b = np.asarray(w2, dtype=float)

@@ -14,6 +14,7 @@ from qbell.bell import (
     BellSetting,
     OptimizerStats,
     bell_number,
+    bounds_hold,
     classify,
     correlation_tensor,
     maximize_bell,
@@ -141,8 +142,7 @@ def test_maximize_finds_tsirelson_for_entangled_projector():
     rep = maximize_bell(validate(PHI_PLUS), restarts=8, seed=7)
     assert rep.value >= 2 * math.sqrt(2) - 1e-6
     assert rep.stats.converged
-    assert not rep.separable_bound_satisfied
-    assert rep.tsirelson_bound_satisfied
+    assert classify(rep) is BellClass.HIDDEN_BELL_CORRELATION
 
 
 def test_maximize_respects_separable_bound():
@@ -193,8 +193,6 @@ def _report_with_value(v):
     return BellReport(
         value=v,
         setting=BellSetting.from_flat([0.0] * 8),
-        separable_bound_satisfied=v <= SEPARABLE_BOUND + CLASSIFY_TOL,
-        tsirelson_bound_satisfied=v <= TSIRELSON_BOUND + CLASSIFY_TOL,
         stats=OptimizerStats(0, 0, True),
     )
 
@@ -213,6 +211,7 @@ def test_classify(value, expected):
 
 
 def test_report_bound_flags_are_consistent():
-    rep = _report_with_value(2.5)
     # satisfying the separable bound implies satisfying the universal one
-    assert (not rep.separable_bound_satisfied) or rep.tsirelson_bound_satisfied
+    for v in (0.0, 1.9, SEPARABLE_BOUND + CLASSIFY_TOL, 2.5, TSIRELSON_BOUND + CLASSIFY_TOL, 3.0):
+        separable, tsirelson = bounds_hold(v)
+        assert (not separable) or tsirelson

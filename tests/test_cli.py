@@ -1,10 +1,14 @@
+import io
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from conftest import EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, PHI_PLUS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbell.cli import InputError, format_json, main, matrix_to_file_dict, parse_matrix
 
@@ -70,6 +74,58 @@ def test_parse_matrix_rejects_unknown_fields_and_bad_values(tmp_path):
         parse_matrix(str(path))
 
 
+def test_an_integer_too_large_for_float64_is_invalid_input(tmp_path, capsys):
+    path = _write(tmp_path, "big.json", {"dim": 1, "re": [[10**400]]})
+    code = main(["check", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "qbell: error: field 're' contains an integer too large for float64\n"
+
+
+def test_nesting_too_deep_for_the_json_parser_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"dim": 1, "re": ' + "[" * 100000 + "]" * 100000 + "}")
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("qbell: error: JSON parse error: maximum recursion depth")
+
+
+# JSON numbers. JSON integers have no size limit, so some are m * 10**k with
+# up to 400 digits: past the float64 range.
+_NUMBERS = (st.integers() | st.floats()
+            | st.builds(lambda m, k: m * 10**k, st.integers(-9, 9), st.integers(0, 400)))
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                   max_size=4),
+    max_leaves=20,
+)
+
+
+def _matrix_doc(n):
+    """Documents shaped like an n x n matrix file, so the checks on entries
+    are reached; an entry, ``im`` or ``label`` may hold any JSON value."""
+    grid = st.lists(st.lists(_NUMBERS | _JSON, min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.fixed_dictionaries({"dim": st.just(n), "re": grid}, optional={
+        "im": grid | _JSON, "label": st.text(max_size=5) | _JSON,
+    })
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(doc=_JSON | st.integers(1, 3).flatmap(_matrix_doc))
+def test_parse_matrix_raises_only_input_errors(doc):
+    text = json.dumps(doc)
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        parse_matrix("-")
+    except InputError:
+        pass
+    finally:
+        sys.stdin = stdin
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -98,6 +154,18 @@ def test_entropy_on_entangled_projector(tmp_path, capsys):
     assert abs(rep["result"]["s_first"] - math.log(2)) <= 1e-12
     assert abs(rep["result"]["s_second"] - math.log(2)) <= 1e-12
     assert all(v["holds"] for v in rep["verdicts"])
+
+
+def test_entropy_prints_the_margin_in_force(tmp_path, capsys):
+    state = np.diag([1 / 9, 8 / 9 + 1e-9, -1e-9, 0.0]).astype(complex)
+    path = _write(tmp_path, "edge.json", matrix_to_file_dict(state, label="edge"))
+    code, rep = _run(capsys, ["entropy", path, "--partition", "2", "2"])
+    assert code == 0
+    assert list(rep["tolerances"]) == ["num_tol", "entropy_margin"]
+    assert rep["tolerances"]["num_tol"] == 1e-9
+    assert 4.7e-8 < rep["tolerances"]["entropy_margin"] < 4.9e-8
+    sub = rep["verdicts"][0]
+    assert sub["holds"] and -rep["tolerances"]["entropy_margin"] < sub["slack"] < -1e-9
 
 
 def test_entropy_rejects_bad_partition(tmp_path, capsys):

@@ -6,12 +6,8 @@ from conftest import PHI_PLUS, random_unitary
 
 from qbell.channels import BlockPartition, block_trace_first, block_trace_second
 from qbell.density import (
-    QUDIT_3_2,
-    TWO_QUBIT,
     SeparableDecomposition,
     embed_qutrit,
-    index_to_label,
-    label_to_index,
     partial_transpose,
     random_density,
     random_separable,
@@ -114,30 +110,6 @@ def test_density_matrix_is_read_only():
         rho.mat[0, 0] = 9.0
     with pytest.raises(ValueError):
         rho.spectrum[0] = -1.0
-
-
-@pytest.mark.parametrize(
-    "label,index",
-    [((0.5, 0.5), 1), ((0.5, -0.5), 2), ((-0.5, 0.5), 3), ((-0.5, -0.5), 4)],
-)
-def test_two_qubit_index_map(label, index):
-    assert label_to_index(TWO_QUBIT, label) == index
-    assert index_to_label(TWO_QUBIT, index) == label
-
-
-@pytest.mark.parametrize("label,index", [(1.5, 1), (0.5, 2), (-0.5, 3), (-1.5, 4)])
-def test_qudit_index_map(label, index):
-    assert label_to_index(QUDIT_3_2, label) == index
-    assert index_to_label(QUDIT_3_2, index) == label
-
-
-def test_index_map_round_trip_and_errors():
-    for idx in range(1, 5):
-        assert label_to_index(TWO_QUBIT, index_to_label(TWO_QUBIT, idx)) == idx
-    with pytest.raises(ValueError, match="unknown label"):
-        label_to_index(QUDIT_3_2, 2.5)
-    with pytest.raises(ValueError, match="outside"):
-        index_to_label(TWO_QUBIT, 5)
 
 
 def test_embed_qutrit_diagonal():

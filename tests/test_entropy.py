@@ -8,7 +8,6 @@ from qbell.channels import BlockPartition
 from qbell.density import PSD_TOL, embed_qutrit, random_density, validate
 from qbell.entropy import (
     DIVERGENT,
-    Divergent,
     check_subadditivity,
     relative_entropy,
     von_neumann,
@@ -92,6 +91,15 @@ def test_subadditivity_holds_at_the_positivity_edge():
                               BlockPartition(2, 2))
     assert -1.3e-9 < rep.slack_sub < -PSD_TOL
     assert rep.subadditivity_holds and rep.araki_lieb_holds
+    # The report carries the margin its verdicts used.
+    assert 4.7e-8 < rep.margin < 4.9e-8
+    assert -rep.slack_sub < rep.margin
+
+
+def test_margin_is_psd_tol_without_negative_eigenvalues():
+    for rho in (validate(PHI_PLUS), validate(np.eye(4) / 4), random_density(6, 3)):
+        p = BlockPartition(2, rho.dim // 2)
+        assert check_subadditivity(rho, p).margin == PSD_TOL
 
 
 @pytest.mark.parametrize("dim,partition", [(4, (2, 2)), (6, (2, 3)), (6, (3, 2))])
@@ -118,8 +126,7 @@ def test_relative_entropy_values():
 def test_relative_entropy_divergence_marker():
     out = relative_entropy([1.0, 0.0], [0.0, 1.0])
     assert out is DIVERGENT
-    assert repr(out) == "DIVERGENT"
-    assert Divergent() is DIVERGENT
+    assert out == math.inf
 
 
 def test_relative_entropy_input_validation():
