@@ -22,7 +22,9 @@ from .bell import SIGN_MATRIX, TSIRELSON_BOUND, BellSetting, bell_number
 from .density import HERM_TOL, PSD_TOL, DensityMatrix, SeparableDecomposition
 from .density import hermitian_spectrum, validate
 from .errors import DomainError
-from .tomography import EulerAngles, su2, tomogram
+from .tomography import EulerAngles, outcome_table, projectors
+
+_IDENTITY_4 = np.eye(4)
 
 
 class ObservableMatrix:
@@ -50,9 +52,8 @@ class ObservableMatrix:
 
     @property
     def trace(self) -> float:
-        # A finite spectrum can still have a trace beyond float64: that is inf.
-        with np.errstate(over="ignore"):
-            return float(np.trace(self._mat).real)
+        d = self._mat.diagonal().real.tolist()  # Python floats: inf past float64, no warning
+        return (d[0] + d[1]) + (d[2] + d[3])  # paired as np.trace pairs them
 
 
 @dataclass(frozen=True)
@@ -63,19 +64,6 @@ class UnitaryQuadruple:
     u2: EulerAngles
     u3: EulerAngles
     u4: EulerAngles
-
-    def matrices(self):
-        return (su2(self.u1), su2(self.u2), su2(self.u3), su2(self.u4))
-
-    def product_unitaries(self):
-        """The four 4x4 rotations pairing (u1,u3), (u1,u4), (u2,u3), (u2,u4)."""
-        m1, m2, m3, m4 = self.matrices()
-        return (
-            linalg.kron(m1, m3),
-            linalg.kron(m1, m4),
-            linalg.kron(m2, m3),
-            linalg.kron(m2, m4),
-        )
 
     def as_setting(self) -> BellSetting:
         """The equivalent four-direction setting: a=u1, d=u2, b=u3, c=u4."""
@@ -99,7 +87,7 @@ class BoundCheck:
 
 
 def min_admissible_x(f: ObservableMatrix) -> float:
-    return float(np.max(np.abs(f.spectrum)))
+    return float(max(abs(f.spectrum[0]), abs(f.spectrum[-1])))  # ascending spectrum
 
 
 def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
@@ -120,14 +108,15 @@ def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
         denom += f.trace
     if not math.isfinite(denom):
         raise DomainError(f"x must be small enough that 4 x + Tr f is finite; got {x!r}")
-    return validate((f.mat + x * np.eye(4)) / denom)
+    return validate((f.mat + x * _IDENTITY_4) / denom)
 
 
 def stochastic_omega(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> np.ndarray:
-    """Row-stochastic 4x4 matrix: row alpha is the tomogram of rho(x) under
-    the alpha-th product rotation of ``q``."""
-    rho = rho_of_x(f, x)
-    return np.stack([tomogram(rho, u) for u in q.product_unitaries()], axis=0)
+    """Row-stochastic 4x4 matrix: row alpha is the joint tomogram of rho(x)
+    along the pair (u1,u3), (u1,u4), (u2,u3), (u2,u4) of ``q``."""
+    p = projectors(q.u1, q.u2, q.u3, q.u4)  # table rows (u1, +-), (u2, +-); columns u3, u4
+    t = outcome_table(rho_of_x(f, x), p[:4], p[4:]).reshape(2, 2, 2, 2)
+    return t.transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 def appendix_bell_value(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> float:

@@ -70,13 +70,15 @@ def format_json(obj) -> str:
 # Matrix-file ingestion.
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":  # as bytes, so stdin decodes as strictly as a file
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {path}: not UTF-8 at byte {e.start} ({e.reason})") from None
 
 
 def _as_real_grid(name: str, value, dim: int):
@@ -356,6 +358,14 @@ def _add_optimizer_args(p):
     p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
 
 
+class _Angles(argparse.Action):  # a value that is not finite is a usage error naming it
+    def __call__(self, parser, namespace, values, option_string=None):
+        for k, (name, v) in enumerate(zip(self.metavar, values), 1):
+            if not math.isfinite(v):
+                parser.error(f"--angles value {k} ({name}) must be finite, got {v}")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbell",
@@ -373,13 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tomogram", help="joint outcome distribution under a product rotation")
     _add_matrix_arg(p)
-    p.add_argument("--angles", type=float, nargs=4, required=True,
+    p.add_argument("--angles", type=float, nargs=4, required=True, action=_Angles,
                    metavar=("PHI1", "THETA1", "PHI2", "THETA2"),
                    help="radians for the two measurement directions")
 
     p = sub.add_parser("bell", help="Bell number at a fixed setting")
     _add_matrix_arg(p)
-    p.add_argument("--angles", type=float, nargs=8, required=True,
+    p.add_argument("--angles", type=float, nargs=8, required=True, action=_Angles,
                    metavar=tuple(f"{n}_{x}" for n in ("a", "d", "b", "c") for x in ("PHI", "THETA")),
                    help="radians: phi and theta for directions a, d, b, c")
 
@@ -391,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_arg(p)
     p.add_argument("--x", type=float, required=True,
                    help="shift; must exceed the largest |eigenvalue| of the matrix")
-    p.add_argument("--angles", type=float, nargs=8, default=None,
+    p.add_argument("--angles", type=float, nargs=8, default=None, action=_Angles,
                    metavar=tuple(f"u{k}_{x}" for k in (1, 2, 3, 4) for x in ("PHI", "THETA")),
                    help="radians for the rotation quadruple (default: optimizer search)")
     _add_optimizer_args(p)

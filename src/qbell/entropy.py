@@ -92,17 +92,17 @@ def relative_entropy(w1, w2):
     if ``w1`` has support where ``w2`` has none the result is
     :data:`DIVERGENT`, which is ``math.inf``. The result is never negative.
     """
-    a = np.asarray(w1, dtype=float)
-    b = np.asarray(w2, dtype=float)
+    a, b = (np.asarray(w, dtype=float) for w in (w1, w2))
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"expected two equal-length vectors, got {a.shape} and {b.shape}")
+    a, b = a.tolist(), b.tolist()
     for name, v in (("w1", a), ("w2", b)):
         # A tomogram of a state validate accepted can read as low as -PSD_TOL,
-        # less the rounding of u rho u†, at most HERM_TOL.
-        if np.min(v) < -(PSD_TOL + HERM_TOL):
-            raise ValueError(f"{name} has negative entry {np.min(v)}")
-        if abs(float(np.sum(v)) - 1.0) > PSD_TOL:
-            raise ValueError(f"{name} sums to {float(np.sum(v))}, expected 1")
+        # less the rounding of the tomogram, at most HERM_TOL.
+        if min(v) < -(PSD_TOL + HERM_TOL):
+            raise ValueError(f"{name} has negative entry {min(v)}")
+        if not abs(sum(v) - 1.0) <= PSD_TOL:  # a NaN entry fails too
+            raise ValueError(f"{name} sums to {sum(v)}, expected 1")
     total = 0.0
     for p, q in zip(a, b):
         if p <= CLAMP_TOL:

@@ -28,8 +28,7 @@ def kron(a, b) -> np.ndarray:
 
     A broadcast outer product: the same elementwise products as
     ``np.kron``, so the result equals it bit for bit, without its
-    general-rank bookkeeping. Entries are not checked here; the consumers
-    of a product (``tomogram``) validate it.
+    general-rank bookkeeping. Entries are not checked here.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)

@@ -51,6 +51,11 @@ def su2(angles: EulerAngles) -> np.ndarray:
     )
 
 
+def _clamped(probs: np.ndarray) -> np.ndarray:
+    probs[(probs < 0.0) & (probs >= -CLAMP_TOL)] = 0.0  # rounding negatives read as 0
+    return probs
+
+
 def tomogram(rho: DensityMatrix, u) -> np.ndarray:
     """Outcome distribution: the diagonal of u rho u†.
 
@@ -67,17 +72,29 @@ def tomogram(rho: DensityMatrix, u) -> np.ndarray:
     defect = linalg.max_abs(gram)
     if defect > HERM_TOL:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-    probs = (um @ rho.mat @ uh).diagonal().real.copy()
-    probs[(probs < 0.0) & (probs >= -CLAMP_TOL)] = 0.0
-    return probs
+    return _clamped((um @ rho.mat @ uh).diagonal().real.copy())
+
+
+def projectors(*angles: EulerAngles) -> np.ndarray:
+    """Stacked (2k, 2, 2) spin projectors (I +- n.sigma)/2 per direction; exact on the z axis."""
+    entries = []
+    for a in angles:
+        s, z = math.sin(a.theta), math.cos(a.theta)
+        low = complex(s * math.cos(a.phi), s * math.sin(a.phi)) / 2.0  # (n_x + i n_y) / 2
+        up, plus, minus = low.conjugate(), (1.0 + z) / 2.0, (1.0 - z) / 2.0
+        entries += (plus, up, low, minus, minus, -up, -low, plus)
+    return np.array(entries, dtype=np.complex128).reshape(-1, 2, 2)
+
+
+def outcome_table(rho: DensityMatrix, left, right) -> np.ndarray:
+    """t[s, t] = Re Tr(rho (left[s] kron right[t])) of a 4x4 state, clamped as a tomogram."""
+    if rho.dim != 4:
+        raise ValueError(f"joint tomogram needs a 4x4 state, got dim {rho.dim}")
+    # rho[(i, k), (j, l)] left[s][j, i] right[t][l, k], summed over i, j, k, l
+    return _clamped(np.einsum("ikjl,sji,tlk->st", rho.mat.reshape(2, 2, 2, 2), left, right).real)
 
 
 def joint_tomogram(rho: DensityMatrix, a1: EulerAngles, a2: EulerAngles) -> np.ndarray:
-    """Joint outcome distribution of a 4x4 state under a product rotation.
-
-    Outcomes are ordered (+,+), (+,-), (-,+), (-,-) in the two-subsystem
-    reading of the four indices.
-    """
-    if rho.dim != 4:
-        raise ValueError(f"joint tomogram needs a 4x4 state, got dim {rho.dim}")
-    return tomogram(rho, linalg.kron(su2(a1), su2(a2)))
+    """Joint outcome distribution of a 4x4 state for spin measurements along ``a1``
+    and ``a2``, ordered (+,+), (+,-), (-,+), (-,-)."""
+    return outcome_table(rho, projectors(a1), projectors(a2)).ravel()

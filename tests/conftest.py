@@ -1,7 +1,7 @@
 import numpy as np
 
 from qbell.bell import SIGN_MATRIX
-from qbell.tomography import joint_tomogram
+from qbell.tomography import joint_tomogram, su2
 
 # Maximally entangled test matrix: the rank-1 projector onto
 # (|1> + |4>)/sqrt(2) in the 4-level basis.
@@ -32,8 +32,11 @@ def correlation(rho, d1, d2):
 
 def observable_bell_value(f_mat, quad):
     """Oracle for the observable bound checks: |sign contraction of the
-    diagonals of f rotated by the four product unitaries of ``quad``|."""
-    rows = np.stack([np.diag(u @ f_mat @ u.conj().T).real for u in quad.product_unitaries()])
+    diagonals of f rotated by the four product unitaries of ``quad``|, which
+    pair (u1,u3), (u1,u4), (u2,u3), (u2,u4)."""
+    m1, m2, m3, m4 = (su2(u) for u in (quad.u1, quad.u2, quad.u3, quad.u4))
+    unitaries = (np.kron(m1, m3), np.kron(m1, m4), np.kron(m2, m3), np.kron(m2, m4))
+    rows = np.stack([np.diag(u @ f_mat @ u.conj().T).real for u in unitaries])
     return abs(float(np.sum(SIGN_MATRIX * rows)))
 
 

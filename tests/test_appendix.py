@@ -18,7 +18,7 @@ from qbell.appendix import (
 from qbell.bell import TSIRELSON_BOUND, BellSetting, bell_number, maximize_bell
 from qbell.density import SeparableDecomposition, random_density, random_separable
 from qbell.errors import DomainError, HermiticityError, QbellError
-from qbell.tomography import EulerAngles
+from qbell.tomography import EulerAngles, joint_tomogram
 
 CHSH_OPTIMAL_QUAD = UnitaryQuadruple(
     u1=EulerAngles(0, 0),
@@ -139,6 +139,18 @@ def test_stochastic_omega_rows_are_distributions():
         omega = stochastic_omega(f, x, _random_quad(rng))
         assert np.max(np.abs(omega.sum(axis=1) - 1.0)) <= 1e-9
         assert np.min(omega) >= -1e-12
+
+
+def test_stochastic_omega_rows_are_the_joint_tomograms_bit_for_bit():
+    rng = np.random.default_rng(24)
+    for _ in range(500):
+        f = _random_observable(rng, scale=1.5)
+        x = min_admissible_x(f) * (1 + rng.uniform(0.01, 2.0)) + 0.05
+        q = _random_quad(rng)
+        pairs = ((q.u1, q.u3), (q.u1, q.u4), (q.u2, q.u3), (q.u2, q.u4))
+        rho = rho_of_x(f, x)
+        for row, (p1, p2) in zip(stochastic_omega(f, x, q), pairs):
+            assert row.tobytes() == joint_tomogram(rho, p1, p2).tobytes()
 
 
 def test_value_of_zero_observable_vanishes():

@@ -117,13 +117,38 @@ def _matrix_doc(n):
 def test_parse_matrix_raises_only_input_errors(doc):
     text = json.dumps(doc)
     stdin = sys.stdin
-    sys.stdin = io.StringIO(text)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")))
     try:
         parse_matrix("-")
     except InputError:
         pass
     finally:
         sys.stdin = stdin
+
+
+_NOT_UTF8 = b'{"dim": 1, "re": [[1]], "label": "\xff"}'
+
+
+def test_a_matrix_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(_NOT_UTF8)
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"qbell: error: cannot read {path}: not UTF-8 at byte 34"
+                            " (invalid start byte)\n")
+
+
+def test_stdin_that_is_not_utf8_is_invalid_input(monkeypatch, capsys):
+    # A text stdin that escapes undecodable bytes, as under a C locale, must
+    # not pass the byte on into the label.
+    stdin = io.TextIOWrapper(io.BytesIO(_NOT_UTF8), errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code = main(["check", "-"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("qbell: error: cannot read -: not UTF-8 at byte 34"
+                            " (invalid start byte)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +262,19 @@ def test_appendix_with_fixed_angles(tmp_path, capsys):
     assert rep["result"]["consistency_gap"] <= 1e-12
     # the projector has zero eigenvalues, so no positive-observable verdict
     assert [v["check_name"] for v in rep["verdicts"]] == ["tsirelson_bound"]
+
+
+@pytest.mark.parametrize("command, options, values, message", [
+    ("tomogram", [], ["0", "0", "nan", "0"], "--angles value 3 (PHI2) must be finite, got nan"),
+    ("bell", [], ["0"] * 7 + ["inf"], "--angles value 8 (c_THETA) must be finite, got inf"),
+    ("appendix", ["--x", "10"], ["0", "nan"] + ["0"] * 6,
+     "--angles value 2 (u1_THETA) must be finite, got nan"),
+], ids=["tomogram", "bell", "appendix"])
+def test_non_finite_angles_name_the_value(tmp_path, capsys, command, options, values, message):
+    code = main([command, _phi_plus_file(tmp_path), *options, "--angles", *values])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == f"qbell {command}: error: {message}"
 
 
 def test_appendix_rejects_inadmissible_x(tmp_path, capsys):

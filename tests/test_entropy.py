@@ -136,6 +136,10 @@ def test_relative_entropy_input_validation():
         relative_entropy([0.5, 0.4], [0.5, 0.5])
     with pytest.raises(ValueError, match="negative"):
         relative_entropy([1.1, -0.1], [0.5, 0.5])
+    # a NaN entry must not pass as part of a distribution
+    for w in ([math.nan, 0.5, 0.5], [0.5, math.nan, 0.5]):
+        with pytest.raises(ValueError, match="w2 sums to nan"):
+            relative_entropy([0.25, 0.25, 0.5], w)
 
 
 def test_relative_entropy_of_a_tomogram_at_the_positivity_edge():
@@ -150,10 +154,9 @@ def test_relative_entropy_of_a_tomogram_at_the_positivity_edge():
 
 
 def test_relative_entropy_accepts_a_tomogram_rounded_past_the_edge():
-    # An on-axis tomogram of an eigenvalue at exactly -PSD_TOL picks up the
-    # rounding of the rotation's phases.
-    rho = validate(np.diag([0.0, 0.0, 1.0 + 1e-9, -1e-9]))
-    w = joint_tomogram(rho, EulerAngles(0.0, 0.0), EulerAngles(5.8125, 0.0))
+    # A tomogram of an eigenvalue at exactly -PSD_TOL, read off the axis of
+    # its eigenbasis, can pick up rounding below it.
+    w = np.array([0.0, 0.0, 1.0 + PSD_TOL, np.nextafter(-PSD_TOL, -1.0)])
     assert w[3] < -PSD_TOL
     assert relative_entropy(w, w) == 0.0
 

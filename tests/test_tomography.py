@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import PHI_PLUS, random_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbell.density import CLAMP_TOL, random_density, random_separable, validate
 from qbell.tomography import EulerAngles, joint_tomogram, su2, tomogram
@@ -136,12 +138,30 @@ def test_tomogram_matches_reference_bit_for_bit(dim):
         assert probs.tobytes() == _reference_probabilities(rho, u).tobytes()
 
 
-def test_joint_tomogram_matches_reference_bit_for_bit():
+def test_joint_tomogram_matches_the_unitary_form():
     rng = np.random.default_rng(77)
     for seed in range(500):
         rho = random_density(4, seed)
         a1, a2 = EulerAngles(*rng.uniform(-7, 7, 2)), EulerAngles(*rng.uniform(-7, 7, 2))
         probs = joint_tomogram(rho, a1, a2)
         _assert_fresh_float_vector(probs)
-        want = _reference_probabilities(rho, np.kron(su2(a1), su2(a2)))
-        assert probs.tobytes() == want.tobytes()
+        want = tomogram(rho, np.kron(su2(a1), su2(a2)))
+        assert np.max(np.abs(probs - want)) <= 1e-15
+
+
+# Random states, and diagonals whose edge entries are clamped (-5e-13) or kept (-9e-10).
+_EDGE_DIAGONALS = (
+    np.diag([-5e-13, 0.25, 0.25, 0.5 + 5e-13]),
+    np.diag([-9e-10, -9e-10, 0.5 + 9e-10, 0.5 + 9e-10]),
+)
+_states = (st.integers(0, 2**32 - 1).map(lambda seed: random_density(4, seed))
+           | st.sampled_from(_EDGE_DIAGONALS).map(validate))
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(rho=_states, phi1=_finite, psi1=_finite, phi2=_finite, psi2=_finite)
+def test_joint_tomogram_on_the_z_axis_is_the_diagonal_bit_for_bit(rho, phi1, psi1, phi2, psi2):
+    probs = joint_tomogram(rho, EulerAngles(phi1, 0.0, psi1), EulerAngles(phi2, 0.0, psi2))
+    # the clamped diagonal
+    assert probs.tobytes() == _reference_probabilities(rho, np.eye(4)).tobytes()
