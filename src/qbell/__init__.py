@@ -56,8 +56,7 @@ from .errors import (
     QbellError,
     TraceError,
 )
-from .linalg import kron
-from .tomography import EulerAngles, joint_tomogram, su2, tomogram
+from .tomography import EulerAngles, joint_tomogram
 
 __version__ = "0.1.0"
 
@@ -74,6 +73,6 @@ __all__ = [
     "separable_sample", "validate",
     "DIVERGENT", "EntropyReport", "check_subadditivity", "relative_entropy", "von_neumann",
     "DomainError", "HermiticityError", "PositivityError", "QbellError", "TraceError",
-    "kron", "EulerAngles", "joint_tomogram", "su2", "tomogram",
+    "EulerAngles", "joint_tomogram",
     "__version__",
 ]

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .bell import SIGN_MATRIX, TSIRELSON_BOUND, BellSetting, bell_number
 from .density import HERM_TOL, PSD_TOL, DensityMatrix, SeparableDecomposition
-from .density import hermitian_spectrum, validate
+from .density import hermitian_spectrum, require_square, validate
 from .errors import DomainError
 from .tomography import EulerAngles, outcome_table, projectors
 
@@ -33,7 +32,7 @@ class ObservableMatrix:
     __slots__ = ("_mat", "_spectrum")
 
     def __init__(self, mat):
-        m = linalg.require_square(mat)
+        m = require_square(mat)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         self._spectrum = hermitian_spectrum(m, HERM_TOL, "observable")
@@ -111,21 +110,28 @@ def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
     return validate((f.mat + x * _IDENTITY_4) / denom)
 
 
-def stochastic_omega(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> np.ndarray:
-    """Row-stochastic 4x4 matrix: row alpha is the joint tomogram of rho(x)
-    along the pair (u1,u3), (u1,u4), (u2,u3), (u2,u4) of ``q``."""
+def _omega(rho: DensityMatrix, q: UnitaryQuadruple) -> np.ndarray:
     p = projectors(q.u1, q.u2, q.u3, q.u4)  # table rows (u1, +-), (u2, +-); columns u3, u4
-    t = outcome_table(rho_of_x(f, x), p[:4], p[4:]).reshape(2, 2, 2, 2)
+    t = outcome_table(rho, p[:4], p[4:]).reshape(2, 2, 2, 2)
     return t.transpose(0, 2, 1, 3).reshape(4, 4)
 
 
-def appendix_bell_value(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> float:
-    """|contraction of the sign pattern against the stochastic matrix|.
+def stochastic_omega(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> np.ndarray:
+    """Row-stochastic 4x4 matrix: row alpha is the joint tomogram of rho(x)
+    along the pair (u1,u3), (u1,u4), (u2,u3), (u2,u4) of ``q``."""
+    return _omega(rho_of_x(f, x), q)
 
-    Equals |Bell number| of rho(x) at the setting a=u1, d=u2, b=u3, c=u4.
-    """
+
+def appendix_bell_value(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> float:
+    """|contraction of the sign pattern against the stochastic matrix|; equals
+    |Bell number| of rho(x) at the setting a=u1, d=u2, b=u3, c=u4."""
+    return omega_bell_value(rho_of_x(f, x), q)
+
+
+def omega_bell_value(rho: DensityMatrix, q: UnitaryQuadruple) -> float:
+    """:func:`appendix_bell_value` for a state already built, such as rho(x)."""
     # Rows of omega are indexed by setting, columns by outcome, as in SIGN_MATRIX.
-    return abs(float(np.sum(SIGN_MATRIX * stochastic_omega(f, x, q))))
+    return abs(float(np.sum(SIGN_MATRIX * _omega(rho, q))))
 
 
 def observable_bound_check(f: ObservableMatrix, q: UnitaryQuadruple) -> BoundCheck:

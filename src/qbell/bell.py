@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .density import DensityMatrix
+from .density import DensityMatrix, require_square
 from .tomography import EulerAngles
 
 # Row alpha = setting pair (a,b), (a,c), (d,b), (d,c); column beta = outcome
@@ -73,12 +72,8 @@ class BellSetting:
         v = [float(x) for x in values]
         if len(v) != 8:
             raise ValueError(f"expected 8 angles (phi, theta for a, d, b, c), got {len(v)}")
-        return cls(
-            a=EulerAngles(v[0], v[1]),
-            d=EulerAngles(v[2], v[3]),
-            b=EulerAngles(v[4], v[5]),
-            c=EulerAngles(v[6], v[7]),
-        )
+        a, d, b, c = (EulerAngles(v[k], v[k + 1]) for k in range(0, 8, 2))
+        return cls(a=a, b=b, c=c, d=d)
 
     def to_flat(self):
         return [
@@ -126,7 +121,7 @@ def correlation_tensor(rho) -> np.ndarray:
     The correlation for directions n1, n2 is the bilinear form n1 . T . n2,
     which evaluates the Bell functional in a few dozen scalar operations.
     """
-    m = rho.mat if isinstance(rho, DensityMatrix) else linalg.require_square(rho)
+    m = rho.mat if isinstance(rho, DensityMatrix) else require_square(rho)
     if m.shape[0] != 4:
         raise ValueError(f"correlation tensor needs a 4x4 state, got dim {m.shape[0]}")
     return np.einsum("ijkl,lk->ij", _PAULI_KRON, m).real

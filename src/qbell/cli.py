@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 import time
 
@@ -151,13 +152,8 @@ def matrix_to_file_dict(mat: np.ndarray, label=None) -> dict:
 # Report assembly.
 
 def _verdict(check_name: str, value: float, bound: float, holds: bool, slack: float) -> dict:
-    return {
-        "check_name": check_name,
-        "value": float(value),
-        "bound": float(bound),
-        "holds": bool(holds),
-        "slack": float(slack),
-    }
+    return {"check_name": check_name, "value": float(value), "bound": float(bound),
+            "holds": bool(holds), "slack": float(slack)}
 
 
 def _report(command, input_label, verdicts, tolerances, result, seed=None, optimizer=None):
@@ -201,7 +197,7 @@ def _validated_4x4(args):
 def cmd_check(args):
     mat, label = parse_matrix(args.matrix)
     rho = _validated(mat)
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
+    herm = density.hermitian_part(mat)[1]  # the defect validate compared
     tr_dev = abs(complex(np.trace(mat)) - 1.0)
     min_eig = float(rho.spectrum[0])
     verdicts = [
@@ -312,7 +308,7 @@ def cmd_appendix(args):
         opt = bl.maximize_bell(rho, restarts=args.restarts, seed=args.seed)
         setting, optimizer = opt.setting, dataclasses.asdict(opt.stats)
     quad = apx.UnitaryQuadruple(u1=setting.a, u2=setting.d, u3=setting.b, u4=setting.c)
-    value = apx.appendix_bell_value(f, args.x, quad)
+    value = apx.omega_bell_value(rho, quad)
 
     verdicts = _bell_verdicts(value, ("tsirelson_bound",))
     tol = {"classify_tol": bl.CLASSIFY_TOL}
@@ -366,8 +362,14 @@ class _Angles(argparse.Action):  # a value that is not finite is a usage error n
         setattr(namespace, self.dest, values)
 
 
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # argparse alone reads -1e-3 and -inf as options
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbell",
         description="Entropic and Bell-CHSH inequality checks for small Hermitian matrices.",
     )

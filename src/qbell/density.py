@@ -7,11 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import HermiticityError, PositivityError, QbellError, TraceError
 
 # The package's tolerances, each defined once; every layer imports them.
-# HERM_TOL: max-norm rounding defect of an O(1) matrix (hermiticity, unitarity).
+# HERM_TOL: max-norm hermiticity defect an O(1) matrix may carry from rounding.
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 # The least eigenvalue of a state, so also of its tomograms, and the base margin
@@ -55,28 +54,47 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, spectrum={np.round(self._spectrum, 6)})"
 
 
+def require_square(a) -> np.ndarray:
+    """Coerce input to a square complex128 matrix, rejecting non-finite entries."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got {m.ndim} dimension(s)")
+    if m.shape[0] == 0 or m.shape[1] == 0:
+        raise ValueError("matrix must be non-empty")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def hermitian_part(m: np.ndarray) -> tuple:
+    """(m + m†)/2 of a square matrix and the package's one hermiticity defect,
+    max|m - m†|. Both come from m/2, so the part of finite entries stays finite;
+    away from the subnormal range each equals its direct form bit for bit."""
+    half = m * 0.5
+    half_h = half.conj().T
+    return half + half_h, 2.0 * float(np.abs(half - half_h).max())
+
+
 def hermitian_spectrum(m: np.ndarray, herm_tol: float, stage: str) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of a square matrix.
 
-    The package's one hermiticity check: the max-norm of m - m† must not
-    exceed ``herm_tol``. A spectrum that overflows float64 raises
+    The package's one hermiticity check: the defect of :func:`hermitian_part`
+    must not exceed ``herm_tol``. A spectrum that overflows float64 raises
     :class:`QbellError` naming ``stage``.
     """
-    # Halving first keeps entries near the float64 limit finite: bit for bit,
-    # 2 max|m/2 - m†/2| is max|m - m†| and m/2 + m†/2 is (m + m†)/2.
-    half = m * 0.5
-    half_h = half.conj().T
-    defect = 2.0 * linalg.max_abs(half - half_h)
+    part, defect = hermitian_part(m)
     if defect > herm_tol:
         raise HermiticityError(
             f"hermiticity defect {defect:.3e} exceeds tolerance {herm_tol:.1e}"
         )
-    spectrum = np.linalg.eigvalsh(half + half_h)
+    spectrum = np.linalg.eigvalsh(part)
     # Ascending, so an eigenvalue that overflowed shows at one end.
     if not (math.isfinite(spectrum[0]) and math.isfinite(spectrum[-1])):
         raise QbellError(
             f"{stage}: eigenvalues overflow float64 "
-            f"(largest entry modulus {linalg.max_abs(m):.3e})"
+            f"(largest entry modulus {float(np.abs(m).max()):.3e})"
         )
     return spectrum
 
@@ -95,7 +113,7 @@ def validate(mat, traced: int = 1) -> DensityMatrix:
     positivity also allows each of the ``traced - 1`` sums ``HERM_TOL`` of rounding.
     """
     # The one copy: the caller keeps its array, the result owns this one.
-    m = linalg.require_square(np.array(mat, dtype=np.complex128, order="C"))
+    m = require_square(np.array(mat, dtype=np.complex128, order="C"))
     spectrum = hermitian_spectrum(m, HERM_TOL * traced, "validate")
     tr = complex(m.trace())
     if abs(tr - 1.0) > TRACE_TOL:
@@ -161,7 +179,7 @@ class SeparableDecomposition:
             raise ValueError(f"weights sum to {total}, expected 1")
         for side in (self.first_factors, self.second_factors):
             for f in side:
-                m = linalg.require_square(f)
+                m = require_square(f)
                 if m.shape != (2, 2):
                     raise ValueError(f"factors must be 2x2, got {m.shape}")
                 validate(m)
@@ -169,7 +187,7 @@ class SeparableDecomposition:
     def matrix(self) -> np.ndarray:
         out = np.zeros((4, 4), dtype=np.complex128)
         for p, f1, f2 in zip(self.weights, self.first_factors, self.second_factors):
-            out += p * linalg.kron(f1, f2)
+            out += p * np.kron(f1, f2)
         return out
 
 
@@ -202,7 +220,7 @@ def partial_transpose(rho) -> np.ndarray:
     entanglement, and positivity certifies separability. The result is a
     plain matrix because it may be indefinite.
     """
-    m = rho.mat if isinstance(rho, DensityMatrix) else linalg.require_square(rho)
+    m = rho.mat if isinstance(rho, DensityMatrix) else require_square(rho)
     if m.shape != (4, 4):
         raise ValueError("partial_transpose is defined for 4x4 matrices split 2x2")
     return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()

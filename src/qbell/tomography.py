@@ -1,9 +1,9 @@
 """Spin tomograms: rotated-basis outcome distributions of a state.
 
 A measurement direction is a point on the sphere given by azimuth ``phi``
-and polar angle ``theta``. The third Euler angle ``psi`` enters the 2x2
-unitary only as an outer diagonal phase, which cancels in every diagonal
-matrix element; direction-level interfaces therefore fix psi = 0.
+and polar angle ``theta``. The third Euler angle ``psi`` of a rotation taking
+the z axis there is an outer phase that cancels in every outcome probability,
+so the spin projectors here ignore it.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .density import CLAMP_TOL, HERM_TOL, DensityMatrix
+from .density import CLAMP_TOL, DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -31,50 +30,6 @@ class EulerAngles:
                 raise ValueError(f"angle {name} must be finite")
 
 
-def su2(angles: EulerAngles) -> np.ndarray:
-    """Special unitary 2x2 rotation for the given Euler angles.
-
-    Rotates the z axis to the direction
-    (sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)); the residual
-    phase psi never affects outcome probabilities.
-    """
-    half = angles.theta / 2.0
-    c, s = math.cos(half), math.sin(half)
-    plus = 1j * (angles.psi + angles.phi) / 2.0
-    minus = 1j * (angles.psi - angles.phi) / 2.0
-    return np.array(
-        [
-            [c * np.exp(plus), s * np.exp(minus)],
-            [-s * np.exp(-minus), c * np.exp(-plus)],
-        ],
-        dtype=np.complex128,
-    )
-
-
-def _clamped(probs: np.ndarray) -> np.ndarray:
-    probs[(probs < 0.0) & (probs >= -CLAMP_TOL)] = 0.0  # rounding negatives read as 0
-    return probs
-
-
-def tomogram(rho: DensityMatrix, u) -> np.ndarray:
-    """Outcome distribution: the diagonal of u rho u†.
-
-    ``u`` must be unitary within ``HERM_TOL`` and match the state's
-    dimension. Rounding negatives above ``-CLAMP_TOL`` are clamped to 0.
-    """
-    um = linalg.require_square(u)
-    if um.shape[0] != rho.dim:
-        raise ValueError(f"unitary dim {um.shape[0]} does not match state dim {rho.dim}")
-    uh = um.conj().T
-    gram = uh @ um
-    # A fresh C-contiguous product, so ravel() is a view: this subtracts I.
-    gram.ravel()[:: rho.dim + 1] -= 1.0
-    defect = linalg.max_abs(gram)
-    if defect > HERM_TOL:
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-    return _clamped((um @ rho.mat @ uh).diagonal().real.copy())
-
-
 def projectors(*angles: EulerAngles) -> np.ndarray:
     """Stacked (2k, 2, 2) spin projectors (I +- n.sigma)/2 per direction; exact on the z axis."""
     entries = []
@@ -87,11 +42,14 @@ def projectors(*angles: EulerAngles) -> np.ndarray:
 
 
 def outcome_table(rho: DensityMatrix, left, right) -> np.ndarray:
-    """t[s, t] = Re Tr(rho (left[s] kron right[t])) of a 4x4 state, clamped as a tomogram."""
+    """t[s, t] = Re Tr(rho (left[s] kron right[t])) of a 4x4 state; rounding
+    negatives above ``-CLAMP_TOL`` read as 0."""
     if rho.dim != 4:
         raise ValueError(f"joint tomogram needs a 4x4 state, got dim {rho.dim}")
     # rho[(i, k), (j, l)] left[s][j, i] right[t][l, k], summed over i, j, k, l
-    return _clamped(np.einsum("ikjl,sji,tlk->st", rho.mat.reshape(2, 2, 2, 2), left, right).real)
+    t = np.einsum("ikjl,sji,tlk->st", rho.mat.reshape(2, 2, 2, 2), left, right).real
+    t[(t < 0.0) & (t >= -CLAMP_TOL)] = 0.0
+    return t
 
 
 def joint_tomogram(rho: DensityMatrix, a1: EulerAngles, a2: EulerAngles) -> np.ndarray:

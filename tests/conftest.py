@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 
 from qbell.bell import SIGN_MATRIX
-from qbell.tomography import joint_tomogram, su2
+from qbell.density import CLAMP_TOL
+from qbell.tomography import joint_tomogram
 
 # Maximally entangled test matrix: the rank-1 projector onto
 # (|1> + |4>)/sqrt(2) in the 4-level basis.
@@ -22,6 +25,28 @@ def random_unitary(rng, n):
     q, r = np.linalg.qr(g)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def su2(angles):
+    """Rotation-matrix oracle: the special unitary 2x2 rotation taking the z
+    axis to (sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)); the
+    residual phase psi never affects outcome probabilities."""
+    half = angles.theta / 2.0
+    c, s = math.cos(half), math.sin(half)
+    plus = 1j * (angles.psi + angles.phi) / 2.0
+    minus = 1j * (angles.psi - angles.phi) / 2.0
+    return np.array(
+        [[c * np.exp(plus), s * np.exp(minus)], [-s * np.exp(-minus), c * np.exp(-plus)]],
+        dtype=np.complex128,
+    )
+
+
+def tomogram(rho, u):
+    """Rotation-matrix oracle: the diagonal of u rho u† for any unitary u of
+    the state's dimension, with rounding negatives above -CLAMP_TOL read as 0."""
+    probs = (u @ rho.mat @ u.conj().T).diagonal().real.copy()
+    probs[(probs < 0.0) & (probs >= -CLAMP_TOL)] = 0.0
+    return probs
 
 
 def correlation(rho, d1, d2):

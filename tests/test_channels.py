@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from conftest import EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, PHI_PLUS
+from conftest import EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, PHI_PLUS, su2
 
 from qbell.channels import BlockPartition, block_trace_first, block_trace_second
 from qbell.density import HERM_TOL, PSD_TOL, random_density, validate
 from qbell.entropy import check_subadditivity
-from qbell.tomography import EulerAngles, su2
+from qbell.tomography import EulerAngles
 
 
 def test_partition_validation():

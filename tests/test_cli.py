@@ -10,7 +10,9 @@ from conftest import EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, PHI_PLUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbell import appendix, density
 from qbell.cli import InputError, format_json, main, matrix_to_file_dict, parse_matrix
+from qbell.tomography import EulerAngles
 
 
 def _write(tmp_path, name, doc):
@@ -269,12 +271,77 @@ def test_appendix_with_fixed_angles(tmp_path, capsys):
     ("bell", [], ["0"] * 7 + ["inf"], "--angles value 8 (c_THETA) must be finite, got inf"),
     ("appendix", ["--x", "10"], ["0", "nan"] + ["0"] * 6,
      "--angles value 2 (u1_THETA) must be finite, got nan"),
-], ids=["tomogram", "bell", "appendix"])
+    ("tomogram", [], ["0", "-inf", "0", "0"], "--angles value 2 (THETA1) must be finite, got -inf"),
+], ids=["tomogram", "bell", "appendix", "tomogram-negative-inf"])
 def test_non_finite_angles_name_the_value(tmp_path, capsys, command, options, values, message):
     code = main([command, _phi_plus_file(tmp_path), *options, "--angles", *values])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.splitlines()[-1] == f"qbell {command}: error: {message}"
+
+
+@pytest.mark.parametrize("command, options, values", [
+    ("tomogram", [], ["0", "-1e-3", "0", "-2.5E-1"]),
+    ("bell", [], ["-1e-3", "0", "-2e0", "1", "0", "-7.5e-1", "0", "-1e-05"]),
+    ("appendix", ["--x", "10"], ["0", "-1e-3", "0", "1", "-2e-1", "0", "0", "-1e-05"]),
+], ids=["tomogram", "bell", "appendix"])
+def test_exponent_form_negative_angles_are_values(tmp_path, capsys, command, options, values):
+    # argparse alone takes "-1e-3" for an option; it must read as -0.001 does.
+    path = _phi_plus_file(tmp_path)
+    reports = []
+    for form in (values, [f"{float(v):.10f}" for v in values]):
+        code, rep = _run(capsys, [command, path, *options, "--angles", *form])
+        assert code == 0
+        del rep["wall_time_ms"]
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("x, shown", [("-1e-3", "-0.001"), ("-inf", "-inf")])
+def test_exponent_form_negative_x_reaches_the_domain_check(tmp_path, capsys, x, shown):
+    code = main(["appendix", _phi_plus_file(tmp_path), "--x", x])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"qbell: error: x must strictly exceed the largest |eigenvalue| 1.0; got {shown}"
+    ]
+
+
+@pytest.mark.parametrize("angles", [None, ["0", "0", "0", "1.5", "0", "0.7", "0", "-0.7"]],
+                         ids=["optimizer", "fixed-angles"])
+def test_appendix_builds_and_validates_rho_of_x_once(tmp_path, capsys, monkeypatch, angles):
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(appendix, "rho_of_x", counted("rho_of_x", appendix.rho_of_x))
+    original = density.validate
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "qbell"]:
+        if getattr(module, "validate", None) is original:
+            monkeypatch.setattr(module, "validate", counted("validate", original))
+    argv = ["appendix", _phi_plus_file(tmp_path), "--x", "10", "--restarts", "1"]
+    code, rep = _run(capsys, argv + (["--angles", *angles] if angles else []))
+    assert code == 0
+    assert calls == {"rho_of_x": 1, "validate": 1}
+    # the value is still appendix_bell_value's, bit for bit
+    quad = rep["result"]["quadruple"]
+    quad = appendix.UnitaryQuadruple(**{k: EulerAngles(**v) for k, v in quad.items()})
+    f = appendix.ObservableMatrix(PHI_PLUS)
+    assert rep["result"]["value"] == appendix.appendix_bell_value(f, 10.0, quad)
+
+
+def test_check_reports_the_defect_validate_compared(tmp_path, capsys):
+    # A subnormal asymmetry halves to 0 in validate's defect, as it is reported.
+    state = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    state[0, 1] = 5e-324
+    path = _write(tmp_path, "tiny.json", matrix_to_file_dict(state, label="tiny"))
+    code, rep = _run(capsys, ["check", path])
+    assert code == 0
+    assert rep["verdicts"][0]["value"] == density.hermitian_part(parse_matrix(path)[0])[1] == 0.0
 
 
 def test_appendix_rejects_inadmissible_x(tmp_path, capsys):

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_unitary
+from conftest import random_hermitian, random_unitary, su2
 
-from qbell.density import HERM_TOL, hermitian_spectrum
+from qbell.density import (
+    HERM_TOL,
+    SeparableDecomposition,
+    hermitian_part,
+    hermitian_spectrum,
+    random_density,
+    require_square,
+)
 from qbell.errors import HermiticityError
-from qbell.linalg import kron, require_square
-from qbell.tomography import EulerAngles, su2
+from qbell.tomography import EulerAngles
 
 
 def test_matmul_rotation_times_adjoint_is_identity():
@@ -15,34 +21,36 @@ def test_matmul_rotation_times_adjoint_is_identity():
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
 
 
+# SeparableDecomposition.matrix is the package's one Kronecker product.
+
+def _product(a, b):
+    return SeparableDecomposition((1.0,), (a,), (b,)).matrix()
+
+
 def test_kron_identities():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.array_equal(_product(np.eye(2) / 2, np.eye(2) / 2), np.eye(4) / 4)
     p = np.diag([1.0, 0.0]).astype(complex)
-    assert np.array_equal(kron(p, p), np.diag([1.0, 0, 0, 0]))
+    assert np.array_equal(_product(p, p), np.diag([1.0, 0, 0, 0]))
 
 
 def test_kron_mixed_product_property():
+    # (u kron v)(a kron b)(u kron v)† is (u a u†) kron (v b v†)
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        a, b, c, d = (
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            for _ in range(4)
-        )
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
+    for seed in range(50):
+        a, b = random_density(2, seed).mat, random_density(2, seed + 1000).mat
+        u, v = random_unitary(rng, 2), random_unitary(rng, 2)
+        w = np.kron(u, v)
+        lhs = w @ _product(a, b) @ w.conj().T
+        rhs = _product(u @ a @ u.conj().T, v @ b @ v.conj().T)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_kron_spectrum_is_pairwise_products():
-    rng = np.random.default_rng(9)
-    for _ in range(25):
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 3)
-        wa = np.linalg.eigvalsh(a)
-        wb = np.linalg.eigvalsh(b)
-        expected = np.sort(np.outer(wa, wb).ravel())
-        got = np.linalg.eigvalsh(kron(a, b))
-        assert np.max(np.abs(np.sort(got) - expected)) <= 1e-9
+    for seed in range(25):
+        a, b = random_density(2, seed), random_density(2, seed + 1000)
+        expected = np.sort(np.outer(a.spectrum, b.spectrum).ravel())
+        got = np.linalg.eigvalsh(_product(a.mat, b.mat))
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 # hermitian_spectrum is the package's one Hermitian eigenvalue routine.
@@ -110,16 +118,20 @@ def test_non_finite_entries_rejected():
         require_square(np.array([[np.nan, 0], [0, 0]]))
 
 
-def test_kron_equals_numpy_kron_bit_for_bit_on_su2_pairs():
-    rng = np.random.default_rng(41)
-    for _ in range(500):
-        a = su2(EulerAngles(*rng.uniform(-7, 7, 3)))
-        b = su2(EulerAngles(*rng.uniform(-7, 7, 3)))
-        got, want = kron(a, b), np.kron(a, b)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
 def test_kron_rejects_non_matrices():
     with pytest.raises(ValueError, match="2-D"):
-        kron(np.ones(2), np.eye(2))
+        _product(np.ones(2), np.eye(2) / 2)
+
+
+def test_hermitian_part_defect_is_the_max_norm_of_m_minus_its_adjoint():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m = random_hermitian(rng, 4) + 1e-11 * noise
+        part, defect = hermitian_part(m)
+        assert defect == float(np.abs(m - m.conj().T).max())
+        assert part.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+    # entries at the float64 limit keep a finite Hermitian part
+    big = np.full((2, 2), np.finfo(float).max, dtype=complex)
+    part, defect = hermitian_part(big)
+    assert np.array_equal(part, big) and defect == 0.0

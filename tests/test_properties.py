@@ -10,6 +10,7 @@ entropy. The searches are derandomized, so the suite stays deterministic.
 import math
 
 import numpy as np
+from conftest import su2
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,7 @@ from qbell.channels import BlockPartition
 from qbell.density import HERM_TOL, PSD_TOL, validate
 from qbell.entropy import DIVERGENT, check_subadditivity, relative_entropy
 from qbell.errors import QbellError
-from qbell.linalg import kron
-from qbell.tomography import EulerAngles, joint_tomogram, su2
+from qbell.tomography import EulerAngles, joint_tomogram
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -65,7 +65,7 @@ def boundary_states(draw):
     lam = lam - shifts
     lam[int(np.argmax(lam))] += shifts.sum()
     basis = BELL_BASIS if draw(st.booleans()) else np.eye(4, dtype=complex)
-    v = kron(su2(draw(directions)), su2(draw(directions))) @ basis
+    v = np.kron(su2(draw(directions)), su2(draw(directions))) @ basis
     return v @ np.diag(lam) @ v.conj().T
 
 
