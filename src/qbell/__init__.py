@@ -56,7 +56,7 @@ from .errors import (
     QbellError,
     TraceError,
 )
-from .tomography import EulerAngles, joint_tomogram
+from .tomography import EulerAngles, joint_tomogram, tomogram
 
 __version__ = "0.1.0"
 
@@ -73,6 +73,6 @@ __all__ = [
     "separable_sample", "validate",
     "DIVERGENT", "EntropyReport", "check_subadditivity", "relative_entropy", "von_neumann",
     "DomainError", "HermiticityError", "PositivityError", "QbellError", "TraceError",
-    "EulerAngles", "joint_tomogram",
+    "EulerAngles", "joint_tomogram", "tomogram",
     "__version__",
 ]

@@ -72,8 +72,12 @@ class BellSetting:
         v = [float(x) for x in values]
         if len(v) != 8:
             raise ValueError(f"expected 8 angles (phi, theta for a, d, b, c), got {len(v)}")
-        a, d, b, c = (EulerAngles(v[k], v[k + 1]) for k in range(0, 8, 2))
-        return cls(a=a, b=b, c=c, d=d)
+        return cls(
+            a=EulerAngles(v[0], v[1]),
+            d=EulerAngles(v[2], v[3]),
+            b=EulerAngles(v[4], v[5]),
+            c=EulerAngles(v[6], v[7]),
+        )
 
     def to_flat(self):
         return [

@@ -152,8 +152,13 @@ def matrix_to_file_dict(mat: np.ndarray, label=None) -> dict:
 # Report assembly.
 
 def _verdict(check_name: str, value: float, bound: float, holds: bool, slack: float) -> dict:
-    return {"check_name": check_name, "value": float(value), "bound": float(bound),
-            "holds": bool(holds), "slack": float(slack)}
+    return {
+        "check_name": check_name,
+        "value": float(value),
+        "bound": float(bound),
+        "holds": bool(holds),
+        "slack": float(slack),
+    }
 
 
 def _report(command, input_label, verdicts, tolerances, result, seed=None, optimizer=None):

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import HermiticityError, PositivityError, QbellError, TraceError
 
 # The package's tolerances, each defined once; every layer imports them.
-# HERM_TOL: max-norm hermiticity defect an O(1) matrix may carry from rounding.
+# HERM_TOL: max-norm rounding defect of an O(1) matrix (hermiticity, unitarity).
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 # The least eigenvalue of a state, so also of its tomograms, and the base margin
@@ -70,11 +70,12 @@ def require_square(a) -> np.ndarray:
 
 def hermitian_part(m: np.ndarray) -> tuple:
     """(m + m†)/2 of a square matrix and the package's one hermiticity defect,
-    max|m - m†|. Both come from m/2, so the part of finite entries stays finite;
-    away from the subnormal range each equals its direct form bit for bit."""
+    max|m - m†| (inf where that overflows). The part is m/2 + m†/2, so it stays
+    finite for finite entries and equals (m + m†)/2 bit for bit wherever that does."""
+    with np.errstate(over="ignore"):
+        defect = float(np.abs(m - m.conj().T).max())
     half = m * 0.5
-    half_h = half.conj().T
-    return half + half_h, 2.0 * float(np.abs(half - half_h).max())
+    return half + half.conj().T, defect
 
 
 def hermitian_spectrum(m: np.ndarray, herm_tol: float, stage: str) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import CLAMP_TOL, DensityMatrix
+from .density import CLAMP_TOL, HERM_TOL, DensityMatrix, require_square
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,30 @@ class EulerAngles:
                 raise ValueError(f"angle {name} must be finite")
 
 
+def _clamped(probs: np.ndarray) -> np.ndarray:
+    probs[(probs < 0.0) & (probs >= -CLAMP_TOL)] = 0.0  # rounding negatives read as 0
+    return probs
+
+
+def tomogram(rho: DensityMatrix, u) -> np.ndarray:
+    """Outcome distribution: the diagonal of u rho u†.
+
+    ``u`` must be unitary within ``HERM_TOL`` and match the state's
+    dimension. Rounding negatives above ``-CLAMP_TOL`` are clamped to 0.
+    """
+    um = require_square(u)
+    if um.shape[0] != rho.dim:
+        raise ValueError(f"unitary dim {um.shape[0]} does not match state dim {rho.dim}")
+    uh = um.conj().T
+    gram = uh @ um
+    # A fresh C-contiguous product, so ravel() is a view: this subtracts I.
+    gram.ravel()[:: rho.dim + 1] -= 1.0
+    defect = float(np.abs(gram).max())
+    if defect > HERM_TOL:
+        raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
+    return _clamped((um @ rho.mat @ uh).diagonal().real.copy())
+
+
 def projectors(*angles: EulerAngles) -> np.ndarray:
     """Stacked (2k, 2, 2) spin projectors (I +- n.sigma)/2 per direction; exact on the z axis."""
     entries = []
@@ -42,14 +66,11 @@ def projectors(*angles: EulerAngles) -> np.ndarray:
 
 
 def outcome_table(rho: DensityMatrix, left, right) -> np.ndarray:
-    """t[s, t] = Re Tr(rho (left[s] kron right[t])) of a 4x4 state; rounding
-    negatives above ``-CLAMP_TOL`` read as 0."""
+    """t[s, t] = Re Tr(rho (left[s] kron right[t])) of a 4x4 state, clamped as a tomogram."""
     if rho.dim != 4:
         raise ValueError(f"joint tomogram needs a 4x4 state, got dim {rho.dim}")
     # rho[(i, k), (j, l)] left[s][j, i] right[t][l, k], summed over i, j, k, l
-    t = np.einsum("ikjl,sji,tlk->st", rho.mat.reshape(2, 2, 2, 2), left, right).real
-    t[(t < 0.0) & (t >= -CLAMP_TOL)] = 0.0
-    return t
+    return _clamped(np.einsum("ikjl,sji,tlk->st", rho.mat.reshape(2, 2, 2, 2), left, right).real)
 
 
 def joint_tomogram(rho: DensityMatrix, a1: EulerAngles, a2: EulerAngles) -> np.ndarray:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 
 from qbell.bell import SIGN_MATRIX
-from qbell.density import CLAMP_TOL
 from qbell.tomography import joint_tomogram
 
 # Maximally entangled test matrix: the rank-1 projector onto
@@ -39,14 +38,6 @@ def su2(angles):
         [[c * np.exp(plus), s * np.exp(minus)], [-s * np.exp(-minus), c * np.exp(-plus)]],
         dtype=np.complex128,
     )
-
-
-def tomogram(rho, u):
-    """Rotation-matrix oracle: the diagonal of u rho u† for any unitary u of
-    the state's dimension, with rounding negatives above -CLAMP_TOL read as 0."""
-    probs = (u @ rho.mat @ u.conj().T).diagonal().real.copy()
-    probs[(probs < 0.0) & (probs >= -CLAMP_TOL)] = 0.0
-    return probs
 
 
 def correlation(rho, d1, d2):

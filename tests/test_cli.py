@@ -335,13 +335,13 @@ def test_appendix_builds_and_validates_rho_of_x_once(tmp_path, capsys, monkeypat
 
 
 def test_check_reports_the_defect_validate_compared(tmp_path, capsys):
-    # A subnormal asymmetry halves to 0 in validate's defect, as it is reported.
+    # A subnormal asymmetry is reported as it is, not as its rounded half.
     state = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     state[0, 1] = 5e-324
     path = _write(tmp_path, "tiny.json", matrix_to_file_dict(state, label="tiny"))
     code, rep = _run(capsys, ["check", path])
     assert code == 0
-    assert rep["verdicts"][0]["value"] == density.hermitian_part(parse_matrix(path)[0])[1] == 0.0
+    assert rep["verdicts"][0]["value"] == density.hermitian_part(parse_matrix(path)[0])[1] == 5e-324
 
 
 def test_appendix_rejects_inadmissible_x(tmp_path, capsys):

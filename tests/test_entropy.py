@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import PHI_PLUS, random_unitary, tomogram
+from conftest import PHI_PLUS, random_unitary
 
 from qbell.channels import BlockPartition
 from qbell.density import PSD_TOL, embed_qutrit, random_density, validate
@@ -12,7 +12,7 @@ from qbell.entropy import (
     relative_entropy,
     von_neumann,
 )
-from qbell.tomography import EulerAngles, joint_tomogram
+from qbell.tomography import EulerAngles, joint_tomogram, tomogram
 
 
 def test_entropy_of_maximally_mixed():

@@ -135,3 +135,6 @@ def test_hermitian_part_defect_is_the_max_norm_of_m_minus_its_adjoint():
     big = np.full((2, 2), np.finfo(float).max, dtype=complex)
     part, defect = hermitian_part(big)
     assert np.array_equal(part, big) and defect == 0.0
+    # a difference past it reads as an infinite defect, without a warning
+    big[0, 1] *= -1.0
+    assert hermitian_part(big)[1] == np.inf

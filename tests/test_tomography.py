@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import PHI_PLUS, random_unitary, su2, tomogram
+from conftest import PHI_PLUS, random_unitary, su2
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbell.density import CLAMP_TOL, random_density, random_separable, validate
-from qbell.tomography import EulerAngles, joint_tomogram
+from qbell.tomography import EulerAngles, joint_tomogram, tomogram
 
 
 def test_su2_identity():
@@ -52,6 +52,18 @@ def test_tomogram_of_entangled_projector_along_z():
     rho = validate(PHI_PLUS)
     probs = joint_tomogram(rho, EulerAngles(0.3, 0.0), EulerAngles(-1.2, 0.0))
     assert np.max(np.abs(probs - np.array([0.5, 0.0, 0.0, 0.5]))) <= 1e-12
+
+
+def test_tomogram_rejects_non_unitary():
+    rho = validate(np.eye(4) / 4)
+    with pytest.raises(ValueError, match="not unitary"):
+        tomogram(rho, np.eye(4) * 1.001)
+
+
+def test_tomogram_rejects_dimension_mismatch():
+    rho = validate(np.eye(4) / 4)
+    with pytest.raises(ValueError, match="does not match"):
+        tomogram(rho, np.eye(2))
 
 
 def test_joint_tomogram_identity_gives_diagonal():
@@ -115,8 +127,6 @@ def _assert_fresh_float_vector(probs):
     assert probs.flags.c_contiguous and probs.flags.writeable
 
 
-# The rotation-matrix oracle that joint tomograms are checked against is the
-# clamped diagonal of u rho u†, in any dimension.
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
 def test_tomogram_matches_reference_bit_for_bit(dim):
     rng = np.random.default_rng(100 + dim)
