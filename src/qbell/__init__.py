@@ -15,12 +15,10 @@ from .appendix import (
     observable_bound_check,
     rho_of_x,
     separable_observable_check,
-    stochastic_omega,
 )
 from .bell import (
     CLASSIFY_TOL,
     SEPARABLE_BOUND,
-    SIGN_MATRIX,
     TSIRELSON_BOUND,
     BellClass,
     BellReport,
@@ -62,9 +60,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundCheck", "ObservableMatrix", "UnitaryQuadruple", "appendix_bell_value",
-    "min_admissible_x", "observable_bound_check", "rho_of_x",
-    "separable_observable_check", "stochastic_omega",
-    "CLASSIFY_TOL", "SEPARABLE_BOUND", "SIGN_MATRIX", "TSIRELSON_BOUND",
+    "min_admissible_x", "observable_bound_check", "rho_of_x", "separable_observable_check",
+    "CLASSIFY_TOL", "SEPARABLE_BOUND", "TSIRELSON_BOUND",
     "BellClass", "BellReport", "BellSetting", "OptimizerStats", "bell_number",
     "classify", "correlation_tensor", "maximize_bell",
     "BlockPartition", "block_trace_first", "block_trace_second",

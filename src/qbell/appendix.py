@@ -5,7 +5,8 @@ Any Hermitian f can be shifted and scaled into a valid density matrix
     rho(x) = (f + x I) / (4 x + Tr f),        x > max_j |f_j|,
 
 whose tomograms under four product rotations form a row-stochastic matrix.
-Contracting that matrix against the CHSH sign pattern is bounded by
+Contracting that matrix against the CHSH sign pattern gives the Bell number
+of rho(x), evaluated here through the correlation tensor, and is bounded by
 2 sqrt(2); for positive-definite f the same contraction applied to f itself
 is bounded by 2 sqrt(2) Tr f, and by 2 Tr f when f carries a separability witness.
 """
@@ -17,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import SIGN_MATRIX, TSIRELSON_BOUND, BellSetting, bell_number
+from .bell import TSIRELSON_BOUND, BellSetting, bell_number
 from .density import HERM_TOL, PSD_TOL, DensityMatrix, SeparableDecomposition
 from .density import hermitian_spectrum, require_square, validate
 from .errors import DomainError
-from .tomography import EulerAngles, outcome_table, projectors
+from .tomography import EulerAngles
 
 _IDENTITY_4 = np.eye(4)
 
@@ -110,28 +111,10 @@ def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
     return validate((f.mat + x * _IDENTITY_4) / denom)
 
 
-def _omega(rho: DensityMatrix, q: UnitaryQuadruple) -> np.ndarray:
-    p = projectors(q.u1, q.u2, q.u3, q.u4)  # table rows (u1, +-), (u2, +-); columns u3, u4
-    t = outcome_table(rho, p[:4], p[4:]).reshape(2, 2, 2, 2)
-    return t.transpose(0, 2, 1, 3).reshape(4, 4)
-
-
-def stochastic_omega(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> np.ndarray:
-    """Row-stochastic 4x4 matrix: row alpha is the joint tomogram of rho(x)
-    along the pair (u1,u3), (u1,u4), (u2,u3), (u2,u4) of ``q``."""
-    return _omega(rho_of_x(f, x), q)
-
-
 def appendix_bell_value(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> float:
-    """|contraction of the sign pattern against the stochastic matrix|; equals
-    |Bell number| of rho(x) at the setting a=u1, d=u2, b=u3, c=u4."""
-    return omega_bell_value(rho_of_x(f, x), q)
-
-
-def omega_bell_value(rho: DensityMatrix, q: UnitaryQuadruple) -> float:
-    """:func:`appendix_bell_value` for a state already built, such as rho(x)."""
-    # Rows of omega are indexed by setting, columns by outcome, as in SIGN_MATRIX.
-    return abs(float(np.sum(SIGN_MATRIX * _omega(rho, q))))
+    """|Bell number| of rho(x) at the setting a=u1, d=u2, b=u3, c=u4: the
+    sign-pattern contraction of the appendix's stochastic matrix."""
+    return abs(bell_number(rho_of_x(f, x), q.as_setting()))
 
 
 def observable_bound_check(f: ObservableMatrix, q: UnitaryQuadruple) -> BoundCheck:

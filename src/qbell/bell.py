@@ -22,19 +22,6 @@ import numpy as np
 from .density import DensityMatrix, require_square
 from .tomography import EulerAngles
 
-# Row alpha = setting pair (a,b), (a,c), (d,b), (d,c); column beta = outcome
-# (+,+), (+,-), (-,+), (-,-). Entry = outcome sign times the setting sign
-# (+1, +1, +1, -1). Every row sums to zero.
-SIGN_MATRIX = np.array(
-    [
-        [1, -1, -1, 1],
-        [1, -1, -1, 1],
-        [1, -1, -1, 1],
-        [-1, 1, 1, -1],
-    ],
-    dtype=np.int64,
-)
-
 SEPARABLE_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 # Far above accumulated rounding, far below the 0.828 gap between bounds.
@@ -206,6 +193,8 @@ def maximize_bell(rho: DensityMatrix, restarts: int = 8, seed: int = 0) -> BellR
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     fn = _objective(correlation_tensor(rho))
     best_val, best_x = -math.inf, None
     total_evals, converged = 0, True

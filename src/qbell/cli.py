@@ -301,6 +301,8 @@ def cmd_bell_max(args):
 
 def cmd_appendix(args):
     mat, label = parse_matrix(args.matrix)
+    if mat.shape[0] != 4:
+        raise InputError(f"{args.command} subcommand needs a 4x4 matrix, got dim {mat.shape[0]}")
     try:
         f = apx.ObservableMatrix(mat)
     except QbellError as e:
@@ -313,7 +315,7 @@ def cmd_appendix(args):
         opt = bl.maximize_bell(rho, restarts=args.restarts, seed=args.seed)
         setting, optimizer = opt.setting, dataclasses.asdict(opt.stats)
     quad = apx.UnitaryQuadruple(u1=setting.a, u2=setting.d, u3=setting.b, u4=setting.c)
-    value = apx.omega_bell_value(rho, quad)
+    value = abs(bl.bell_number(rho, setting))
 
     verdicts = _bell_verdicts(value, ("tsirelson_bound",))
     tol = {"classify_tol": bl.CLASSIFY_TOL}
@@ -323,8 +325,6 @@ def cmd_appendix(args):
         "quadruple": {k: _angles_dict(getattr(quad, k)) for k in ("u1", "u2", "u3", "u4")},
         "value": value,
         "rho_x_spectrum": [float(v) for v in rho.spectrum],
-        # The stochastic-matrix contraction against the tensor form.
-        "consistency_gap": abs(value - abs(bl.bell_number(rho, setting))),
     }
     if float(f.spectrum[0]) > 0.0:
         chk = apx.observable_bound_check(f, quad)

@@ -173,6 +173,9 @@ class SeparableDecomposition:
             raise ValueError("weights and factor lists must have equal length")
         if len(self.weights) == 0:
             raise ValueError("decomposition needs at least one term")
+        for p in self.weights:  # NaN passes both comparisons below
+            if not math.isfinite(p):
+                raise ValueError(f"weight {p} is not finite")
         if min(self.weights) < -CLAMP_TOL:
             raise ValueError(f"negative weight {min(self.weights)}")
         total = sum(self.weights)

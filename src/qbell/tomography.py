@@ -54,26 +54,20 @@ def tomogram(rho: DensityMatrix, u) -> np.ndarray:
     return _clamped((um @ rho.mat @ uh).diagonal().real.copy())
 
 
-def projectors(*angles: EulerAngles) -> np.ndarray:
-    """Stacked (2k, 2, 2) spin projectors (I +- n.sigma)/2 per direction; exact on the z axis."""
-    entries = []
-    for a in angles:
-        s, z = math.sin(a.theta), math.cos(a.theta)
-        low = complex(s * math.cos(a.phi), s * math.sin(a.phi)) / 2.0  # (n_x + i n_y) / 2
-        up, plus, minus = low.conjugate(), (1.0 + z) / 2.0, (1.0 - z) / 2.0
-        entries += (plus, up, low, minus, minus, -up, -low, plus)
-    return np.array(entries, dtype=np.complex128).reshape(-1, 2, 2)
-
-
-def outcome_table(rho: DensityMatrix, left, right) -> np.ndarray:
-    """t[s, t] = Re Tr(rho (left[s] kron right[t])) of a 4x4 state, clamped as a tomogram."""
-    if rho.dim != 4:
-        raise ValueError(f"joint tomogram needs a 4x4 state, got dim {rho.dim}")
-    # rho[(i, k), (j, l)] left[s][j, i] right[t][l, k], summed over i, j, k, l
-    return _clamped(np.einsum("ikjl,sji,tlk->st", rho.mat.reshape(2, 2, 2, 2), left, right).real)
+def _projectors(a: EulerAngles) -> np.ndarray:
+    """The (2, 2, 2) spin projectors (I +- n.sigma)/2 along ``a``; exact on the z axis."""
+    s, z = math.sin(a.theta), math.cos(a.theta)
+    low = complex(s * math.cos(a.phi), s * math.sin(a.phi)) / 2.0  # (n_x + i n_y) / 2
+    up, plus, minus = low.conjugate(), (1.0 + z) / 2.0, (1.0 - z) / 2.0
+    entries = (plus, up, low, minus, minus, -up, -low, plus)
+    return np.array(entries, dtype=np.complex128).reshape(2, 2, 2)
 
 
 def joint_tomogram(rho: DensityMatrix, a1: EulerAngles, a2: EulerAngles) -> np.ndarray:
     """Joint outcome distribution of a 4x4 state for spin measurements along ``a1``
-    and ``a2``, ordered (+,+), (+,-), (-,+), (-,-)."""
-    return outcome_table(rho, projectors(a1), projectors(a2)).ravel()
+    and ``a2``, ordered (+,+), (+,-), (-,+), (-,-): Re Tr(rho (P_s kron P_t)), clamped."""
+    if rho.dim != 4:
+        raise ValueError(f"joint tomogram needs a 4x4 state, got dim {rho.dim}")
+    # rho[(i, k), (j, l)] P_s[j, i] P_t[l, k], summed over i, j, k, l
+    t = np.einsum("ikjl,sji,tlk->st", rho.mat.reshape(2, 2, 2, 2), _projectors(a1), _projectors(a2))
+    return _clamped(t.real).ravel()

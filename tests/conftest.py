@@ -2,8 +2,21 @@ import math
 
 import numpy as np
 
-from qbell.bell import SIGN_MATRIX
+from qbell.appendix import rho_of_x
 from qbell.tomography import joint_tomogram
+
+# Row alpha = setting pair (a,b), (a,c), (d,b), (d,c); column beta = outcome
+# (+,+), (+,-), (-,+), (-,-). Entry = outcome sign times the setting sign
+# (+1, +1, +1, -1). Every row sums to zero.
+SIGN_MATRIX = np.array(
+    [
+        [1, -1, -1, 1],
+        [1, -1, -1, 1],
+        [1, -1, -1, 1],
+        [-1, 1, 1, -1],
+    ],
+    dtype=np.int64,
+)
 
 # Maximally entangled test matrix: the rank-1 projector onto
 # (|1> + |4>)/sqrt(2) in the 4-level basis.
@@ -72,6 +85,16 @@ def bell_number_sign_form(rho, setting):
     )
     table = np.stack([joint_tomogram(rho, p, q) for p, q in pairs], axis=1)
     return float(np.trace(SIGN_MATRIX @ table))
+
+
+def stochastic_omega(f, x, quad):
+    """Oracle for the paper's appendix: the row-stochastic 4x4 matrix whose row
+    alpha is the joint tomogram of rho(x) along the pair (u1,u3), (u1,u4),
+    (u2,u3), (u2,u4) of ``quad``. Its contraction against SIGN_MATRIX is the
+    Bell number of rho(x) at the setting a=u1, d=u2, b=u3, c=u4."""
+    rho = rho_of_x(f, x)
+    pairs = ((quad.u1, quad.u3), (quad.u1, quad.u4), (quad.u2, quad.u3), (quad.u2, quad.u4))
+    return np.stack([joint_tomogram(rho, p, q) for p, q in pairs])
 
 
 def random_hermitian(rng, n, scale=1.0):

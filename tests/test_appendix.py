@@ -3,7 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import PHI_PLUS, observable_bell_value, random_hermitian
+from conftest import (
+    PHI_PLUS,
+    SIGN_MATRIX,
+    observable_bell_value,
+    random_hermitian,
+    stochastic_omega,
+)
 
 from qbell.appendix import (
     ObservableMatrix,
@@ -13,12 +19,11 @@ from qbell.appendix import (
     observable_bound_check,
     rho_of_x,
     separable_observable_check,
-    stochastic_omega,
 )
 from qbell.bell import TSIRELSON_BOUND, BellSetting, bell_number, maximize_bell
 from qbell.density import SeparableDecomposition, random_density, random_separable
 from qbell.errors import DomainError, HermiticityError, QbellError
-from qbell.tomography import EulerAngles, joint_tomogram
+from qbell.tomography import EulerAngles
 
 CHSH_OPTIMAL_QUAD = UnitaryQuadruple(
     u1=EulerAngles(0, 0),
@@ -141,18 +146,6 @@ def test_stochastic_omega_rows_are_distributions():
         assert np.min(omega) >= -1e-12
 
 
-def test_stochastic_omega_rows_are_the_joint_tomograms_bit_for_bit():
-    rng = np.random.default_rng(24)
-    for _ in range(500):
-        f = _random_observable(rng, scale=1.5)
-        x = min_admissible_x(f) * (1 + rng.uniform(0.01, 2.0)) + 0.05
-        q = _random_quad(rng)
-        pairs = ((q.u1, q.u3), (q.u1, q.u4), (q.u2, q.u3), (q.u2, q.u4))
-        rho = rho_of_x(f, x)
-        for row, (p1, p2) in zip(stochastic_omega(f, x, q), pairs):
-            assert row.tobytes() == joint_tomogram(rho, p1, p2).tobytes()
-
-
 def test_value_of_zero_observable_vanishes():
     f = ObservableMatrix(np.zeros((4, 4)))
     rng = np.random.default_rng(23)
@@ -179,6 +172,17 @@ def test_value_agrees_with_bell_module_on_random_inputs():
         lhs = appendix_bell_value(f, x, q)
         rhs = abs(bell_number(rho_of_x(f, x), q.as_setting()))
         assert abs(lhs - rhs) <= 1e-12
+
+
+def test_value_is_the_sign_contraction_of_the_stochastic_matrix():
+    # The paper's form of the value, through the tomogram oracle.
+    rng = np.random.default_rng(33)
+    for _ in range(500):
+        f = _random_observable(rng, scale=1.5)
+        x = min_admissible_x(f) * (1 + rng.uniform(0.01, 2.0)) + 0.05
+        q = _random_quad(rng)
+        want = abs(float(np.sum(SIGN_MATRIX * stochastic_omega(f, x, q))))
+        assert abs(appendix_bell_value(f, x, q) - want) <= 1e-12
 
 
 def test_value_respects_universal_ceiling():

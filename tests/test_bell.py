@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import PHI_PLUS, bell_number_sign_form, correlation
+from conftest import PHI_PLUS, SIGN_MATRIX, bell_number_sign_form, correlation
 
 from qbell.bell import (
     CLASSIFY_TOL,
     SEPARABLE_BOUND,
-    SIGN_MATRIX,
     TSIRELSON_BOUND,
     BellClass,
     BellReport,
@@ -187,6 +186,12 @@ def test_maximize_is_monotone_in_restarts():
 def test_maximize_rejects_bad_restarts():
     with pytest.raises(ValueError, match="restarts"):
         maximize_bell(random_density(4, 0), restarts=0)
+
+
+def test_maximize_rejects_a_negative_seed():
+    # numpy's own message named neither the option nor the value.
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        maximize_bell(random_density(4, 0), seed=-1)
 
 
 def _report_with_value(v):

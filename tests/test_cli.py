@@ -253,6 +253,14 @@ def test_max_evals_is_a_usage_error(tmp_path, capsys, command, options):
     assert "unrecognized arguments: --max-evals 0" in captured.err
 
 
+@pytest.mark.parametrize("command, options", [("bell-max", []), ("appendix", ["--x", "10"])])
+def test_a_negative_seed_is_invalid_input_naming_it(tmp_path, capsys, command, options):
+    code = main([command, _phi_plus_file(tmp_path), *options, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["qbell: error: seed must be >= 0, got -1"]
+
+
 def test_appendix_with_fixed_angles(tmp_path, capsys):
     angles = ["0", "0", "0", str(math.pi / 2), "0", str(math.pi / 4), "0", str(-math.pi / 4)]
     code, rep = _run(
@@ -261,7 +269,6 @@ def test_appendix_with_fixed_angles(tmp_path, capsys):
     assert code == 0
     assert abs(rep["result"]["value"] - 2 * math.sqrt(2) / 41) <= 1e-12
     assert rep["result"]["min_admissible_x"] == 1
-    assert rep["result"]["consistency_gap"] <= 1e-12
     # the projector has zero eigenvalues, so no positive-observable verdict
     assert [v["check_name"] for v in rep["verdicts"]] == ["tsirelson_bound"]
 
@@ -342,6 +349,22 @@ def test_check_reports_the_defect_validate_compared(tmp_path, capsys):
     code, rep = _run(capsys, ["check", path])
     assert code == 0
     assert rep["verdicts"][0]["value"] == density.hermitian_part(parse_matrix(path)[0])[1] == 5e-324
+
+
+@pytest.mark.parametrize("command, options", [
+    ("tomogram", ["--angles", "0", "0", "0", "0"]),
+    ("bell", ["--angles", *["0"] * 8]),
+    ("bell-max", []),
+    ("appendix", ["--x", "10"]),
+])
+def test_a_4x4_subcommand_names_itself_for_another_dimension(tmp_path, capsys, command, options):
+    path = _write(tmp_path, "q3.json", matrix_to_file_dict(np.eye(3) / 3, label="q3"))
+    code = main([command, path, *options])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"qbell: error: {command} subcommand needs a 4x4 matrix, got dim 3"
+    ]
 
 
 def test_appendix_rejects_inadmissible_x(tmp_path, capsys):

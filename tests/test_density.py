@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -168,6 +169,14 @@ def test_separable_decomposition_rejects_bad_witness():
         SeparableDecomposition((1.0,), (p, p), (p,))
     with pytest.raises(PositivityError):
         SeparableDecomposition((1.0,), (np.diag([1.5, -0.5]).astype(complex),), (p,))
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_separable_decomposition_rejects_a_non_finite_weight(weight):
+    # A NaN weight fails every comparison, so the sign and sum checks pass it.
+    p = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match=f"weight {weight} is not finite"):
+        SeparableDecomposition((weight,), (p,), (p,))
 
 
 def test_separable_sample_is_valid_and_deterministic():
