@@ -4,11 +4,14 @@ Matrix file schema::
 
     {"dim": 4, "re": [[...], ...], "im": [[...], ...], "label": "name"}
 
-``im`` defaults to all zeros and ``label`` to the file path. Reports are
-emitted on stdout with a fixed key order (command, input_label, verdicts,
-tolerances, seed, optimizer, result, wall_time_ms); every float is printed
-with 17 significant digits so reports round-trip exactly. ``wall_time_ms``
-is the only nondeterministic field and always comes last.
+``im`` defaults to all zeros and ``label`` to the file path. Each subparser
+declares its handler and its input: a dimension (or any) and a kind, a state
+or an observable. :func:`_load` checks the dimension, then validates; the
+handler returns the report body, and :func:`main` wraps it in the envelope.
+Reports are emitted on stdout with a fixed key order (command, input_label,
+verdicts, tolerances, seed, optimizer, result, wall_time_ms); every float is
+printed with 17 significant digits so reports round-trip exactly.
+``wall_time_ms`` is the only nondeterministic field and always comes last.
 
 Exit codes: 0 all requested checks hold, 1 an inequality is violated
 (universal-ceiling exceedance), 2 invalid input or usage.
@@ -149,27 +152,24 @@ def matrix_to_file_dict(mat: np.ndarray, label=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Report assembly.
+# Input loading and report assembly.
+
+def _load(args):
+    """The state or observable ``args.matrix`` names, dimension checked first, and its label."""
+    mat, label = parse_matrix(args.matrix)
+    if args.dim is not None and mat.shape[0] != args.dim:
+        raise InputError(f"{args.command} subcommand needs a {args.dim}x{args.dim} matrix, "
+                         f"got dim {mat.shape[0]}")
+    try:
+        data = apx.ObservableMatrix(mat) if args.kind == "observable" else density.validate(mat)
+    except QbellError as e:
+        raise InputError(f"matrix is not a valid {args.kind}: {e}") from e
+    return data, label
+
 
 def _verdict(check_name: str, value: float, bound: float, holds: bool, slack: float) -> dict:
-    return {
-        "check_name": check_name,
-        "value": float(value),
-        "bound": float(bound),
-        "holds": bool(holds),
-        "slack": float(slack),
-    }
-
-
-def _report(command, input_label, verdicts, tolerances, result, seed=None, optimizer=None):
-    rep = {"command": command, "input_label": input_label, "verdicts": verdicts,
-           "tolerances": tolerances}
-    if seed is not None:
-        rep["seed"] = seed
-    if optimizer is not None:
-        rep["optimizer"] = optimizer
-    rep["result"] = result
-    return rep
+    return {"check_name": check_name, "value": float(value), "bound": float(bound),
+            "holds": bool(holds), "slack": float(slack)}
 
 
 def _angles_dict(a: tomography.EulerAngles) -> dict:
@@ -180,30 +180,12 @@ def _setting_dict(s: bl.BellSetting) -> dict:
     return {k: _angles_dict(getattr(s, k)) for k in ("a", "d", "b", "c")}
 
 
-def _validated(mat) -> density.DensityMatrix:
-    try:
-        return density.validate(mat)
-    except QbellError as e:
-        raise InputError(f"matrix is not a valid density matrix: {e}") from e
-
-
-def _validated_4x4(args):
-    """The validated 4x4 state named by ``args.matrix``, and its label."""
-    mat, label = parse_matrix(args.matrix)
-    rho = _validated(mat)
-    if rho.dim != 4:
-        raise InputError(f"{args.command} subcommand needs a 4x4 matrix, got dim {rho.dim}")
-    return rho, label
-
-
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (report, exit_code).
+# Subcommand handlers: each maps the loaded input to (report body, exit_code).
 
-def cmd_check(args):
-    mat, label = parse_matrix(args.matrix)
-    rho = _validated(mat)
-    herm = density.hermitian_part(mat)[1]  # the defect validate compared
-    tr_dev = abs(complex(np.trace(mat)) - 1.0)
+def cmd_check(rho, args):
+    herm = density.hermitian_part(rho.mat)[1]  # the defect validate compared
+    tr_dev = abs(complex(np.trace(rho.mat)) - 1.0)
     min_eig = float(rho.spectrum[0])
     verdicts = [
         _verdict("hermiticity", herm, density.HERM_TOL, True, density.HERM_TOL - herm),
@@ -214,12 +196,10 @@ def cmd_check(args):
     tol = {"herm_tol": density.HERM_TOL, "trace_tol": density.TRACE_TOL,
            "psd_tol": density.PSD_TOL}
     result = {"dim": rho.dim, "spectrum": [float(v) for v in rho.spectrum]}
-    return _report("check", label, verdicts, tol, result), 0
+    return {"verdicts": verdicts, "tolerances": tol, "result": result}, 0
 
 
-def cmd_entropy(args):
-    mat, label = parse_matrix(args.matrix)
-    rho = _validated(mat)
+def cmd_entropy(rho, args):
     n, m = args.partition
     if n * m != rho.dim:
         raise InputError(f"partition {n}x{m} does not factor dimension {rho.dim}")
@@ -239,11 +219,10 @@ def cmd_entropy(args):
         "mutual_information": rep.mutual_information,
     }
     code = 0 if (rep.subadditivity_holds and rep.araki_lieb_holds) else 1
-    return _report("entropy", label, verdicts, tol, result), code
+    return {"verdicts": verdicts, "tolerances": tol, "result": result}, code
 
 
-def cmd_tomogram(args):
-    rho, label = _validated_4x4(args)
+def cmd_tomogram(rho, args):
     phi1, th1, phi2, th2 = args.angles
     probs = tomography.joint_tomogram(
         rho, tomography.EulerAngles(phi1, th1), tomography.EulerAngles(phi2, th2)
@@ -258,7 +237,7 @@ def cmd_tomogram(args):
                    "second": {"phi": phi2, "theta": th2}},
         "probabilities": [float(p) for p in probs],
     }
-    return _report("tomogram", label, verdicts, tol, result), 0 if holds else 1
+    return {"verdicts": verdicts, "tolerances": tol, "result": result}, 0 if holds else 1
 
 
 def _bell_verdicts(value: float, names=("separable_bound", "tsirelson_bound")) -> list:
@@ -267,48 +246,31 @@ def _bell_verdicts(value: float, names=("separable_bound", "tsirelson_bound")) -
     return [_verdict(n, value, bounds[n], holds[n], bounds[n] - value) for n in names]
 
 
-def cmd_bell(args):
-    rho, label = _validated_4x4(args)
+def cmd_bell(rho, args):
     setting = bl.BellSetting.from_flat(args.angles)
     b = bl.bell_number(rho, setting)
     value = abs(b)
     cls = bl.classify(value)
-    tol = {"classify_tol": bl.CLASSIFY_TOL}
-    result = {
-        "setting": _setting_dict(setting),
-        "bell_number": b,
-        "abs_value": value,
-        "classification": cls.value,
-    }
+    result = {"setting": _setting_dict(setting), "bell_number": b, "abs_value": value,
+              "classification": cls.value}
     code = 1 if cls is bl.BellClass.TSIRELSON_VIOLATION_ERROR else 0
-    return _report("bell", label, _bell_verdicts(value), tol, result), code
+    return {"verdicts": _bell_verdicts(value), "tolerances": {"classify_tol": bl.CLASSIFY_TOL},
+            "result": result}, code
 
 
-def cmd_bell_max(args):
-    rho, label = _validated_4x4(args)
+def cmd_bell_max(rho, args):
     rep = bl.maximize_bell(rho, restarts=args.restarts, seed=args.seed)
     cls = bl.classify(rep)
-    tol = {"classify_tol": bl.CLASSIFY_TOL, "step_tol": bl.STEP_TOL}
-    result = {
-        "value": rep.value,
-        "setting": _setting_dict(rep.setting),
-        "classification": cls.value,
-    }
+    result = {"value": rep.value, "setting": _setting_dict(rep.setting),
+              "classification": cls.value}
     code = 1 if cls is bl.BellClass.TSIRELSON_VIOLATION_ERROR else 0
-    return _report("bell-max", label, _bell_verdicts(rep.value), tol, result,
-                   seed=args.seed, optimizer=dataclasses.asdict(rep.stats)), code
+    return {"verdicts": _bell_verdicts(rep.value),
+            "tolerances": {"classify_tol": bl.CLASSIFY_TOL, "step_tol": bl.STEP_TOL},
+            "seed": args.seed, "optimizer": dataclasses.asdict(rep.stats), "result": result}, code
 
 
-def cmd_appendix(args):
-    mat, label = parse_matrix(args.matrix)
-    if mat.shape[0] != 4:
-        raise InputError(f"{args.command} subcommand needs a 4x4 matrix, got dim {mat.shape[0]}")
-    try:
-        f = apx.ObservableMatrix(mat)
-    except QbellError as e:
-        raise InputError(f"matrix is not a valid observable: {e}") from e
+def cmd_appendix(f, args):
     rho = apx.rho_of_x(f, args.x)
-
     if args.angles is not None:
         setting, optimizer = bl.BellSetting.from_flat(args.angles), None
     else:
@@ -318,7 +280,6 @@ def cmd_appendix(args):
     value = abs(bl.bell_number(rho, setting))
 
     verdicts = _bell_verdicts(value, ("tsirelson_bound",))
-    tol = {"classify_tol": bl.CLASSIFY_TOL}
     result = {
         "x": float(args.x),
         "min_admissible_x": apx.min_admissible_x(f),
@@ -331,32 +292,35 @@ def cmd_appendix(args):
         verdicts.append(_verdict("observable_bound", chk.value, chk.bound,
                                  chk.holds, chk.slack))
         result["observable_check"] = {"value": chk.value, "bound": chk.bound, "holds": chk.holds}
-    code = 0 if all(v["holds"] for v in verdicts) else 1
-    return _report("appendix", label, verdicts, tol, result,
-                   seed=(args.seed if optimizer is not None else None),
-                   optimizer=optimizer), code
+    body = {"verdicts": verdicts, "tolerances": {"classify_tol": bl.CLASSIFY_TOL}}
+    if optimizer is not None:
+        body.update(seed=args.seed, optimizer=optimizer)
+    body["result"] = result
+    return body, 0 if all(v["holds"] for v in verdicts) else 1
 
 
-def cmd_embed_qutrit(args):
-    mat, label = parse_matrix(args.matrix)
-    if mat.shape != (3, 3):
-        raise InputError(f"embed-qutrit needs a 3x3 matrix, got shape {mat.shape}")
-    rho3 = _validated(mat)
-    rho4 = density.embed_qutrit(rho3)
-    doc = matrix_to_file_dict(np.asarray(rho4.mat), label=label)
-    return doc, 0
+def cmd_embed_qutrit(rho3, args):
+    return matrix_to_file_dict(np.asarray(density.embed_qutrit(rho3).mat)), 0
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch.
 
-def _add_matrix_arg(p):
-    p.add_argument("matrix", help="matrix file path, or - for stdin")
+def _int_from(low: int):
+    """An argparse type: an integer of at least ``low``, else a usage error naming it."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # a non-integer still reads "invalid int value"
+    return parse
 
 
 def _add_optimizer_args(p):
-    p.add_argument("--restarts", type=int, default=8, help="optimizer restarts (default 8)")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    p.add_argument("--restarts", type=_int_from(1), default=8,
+                   help="optimizer restarts (default 8)")
+    p.add_argument("--seed", type=_int_from(0), default=0, help="PRNG seed (default 0)")
 
 
 class _Angles(argparse.Action):  # a value that is not finite is a usage error naming it
@@ -380,32 +344,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="validate a density matrix")
-    _add_matrix_arg(p)
+    def subcommand(name, handler, help, dim=None, kind="density matrix"):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("matrix", help="matrix file path, or - for stdin")
+        p.set_defaults(handler=handler, dim=dim, kind=kind)
+        return p
 
-    p = sub.add_parser("entropy", help="subadditivity and Araki-Lieb checks")
-    _add_matrix_arg(p)
+    subcommand("check", cmd_check, "validate a density matrix")
+
+    p = subcommand("entropy", cmd_entropy, "subadditivity and Araki-Lieb checks")
     p.add_argument("--partition", type=int, nargs=2, required=True, metavar=("N", "M"),
                    help="block partition: N outer blocks of size M")
 
-    p = sub.add_parser("tomogram", help="joint outcome distribution under a product rotation")
-    _add_matrix_arg(p)
+    p = subcommand("tomogram", cmd_tomogram,
+                   "joint outcome distribution under a product rotation", dim=4)
     p.add_argument("--angles", type=float, nargs=4, required=True, action=_Angles,
                    metavar=("PHI1", "THETA1", "PHI2", "THETA2"),
                    help="radians for the two measurement directions")
 
-    p = sub.add_parser("bell", help="Bell number at a fixed setting")
-    _add_matrix_arg(p)
+    p = subcommand("bell", cmd_bell, "Bell number at a fixed setting", dim=4)
     p.add_argument("--angles", type=float, nargs=8, required=True, action=_Angles,
                    metavar=tuple(f"{n}_{x}" for n in ("a", "d", "b", "c") for x in ("PHI", "THETA")),
                    help="radians: phi and theta for directions a, d, b, c")
 
-    p = sub.add_parser("bell-max", help="maximize |Bell number| over settings")
-    _add_matrix_arg(p)
+    p = subcommand("bell-max", cmd_bell_max, "maximize |Bell number| over settings", dim=4)
     _add_optimizer_args(p)
 
-    p = sub.add_parser("appendix", help="shifted-observable Bell bounds")
-    _add_matrix_arg(p)
+    p = subcommand("appendix", cmd_appendix, "shifted-observable Bell bounds", dim=4,
+                   kind="observable")
     p.add_argument("--x", type=float, required=True,
                    help="shift; must exceed the largest |eigenvalue| of the matrix")
     p.add_argument("--angles", type=float, nargs=8, default=None, action=_Angles,
@@ -413,21 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="radians for the rotation quadruple (default: optimizer search)")
     _add_optimizer_args(p)
 
-    p = sub.add_parser("embed-qutrit", help="embed a 3x3 density matrix into 4x4")
-    _add_matrix_arg(p)
-
+    subcommand("embed-qutrit", cmd_embed_qutrit, "embed a 3x3 density matrix into 4x4", dim=3)
     return parser
-
-
-_HANDLERS = {
-    "check": cmd_check,
-    "entropy": cmd_entropy,
-    "tomogram": cmd_tomogram,
-    "bell": cmd_bell,
-    "bell-max": cmd_bell_max,
-    "appendix": cmd_appendix,
-    "embed-qutrit": cmd_embed_qutrit,
-}
 
 
 def main(argv=None) -> int:
@@ -439,12 +392,17 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else 0
     start = time.perf_counter()
     try:
-        report, code = _HANDLERS[args.command](args)
+        data, label = _load(args)
+        body, code = args.handler(data, args)
     except (InputError, ValueError) as e:
         print(f"qbell: error: {e}", file=sys.stderr)
         return 2
-    if args.command != "embed-qutrit":
-        report["wall_time_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
+    if args.command == "embed-qutrit":  # a matrix file, piped back in as input
+        report = {**body, "label": label}
+    else:
+        wall_time_ms = round((time.perf_counter() - start) * 1000.0, 3)
+        report = {"command": args.command, "input_label": label, **body,
+                  "wall_time_ms": wall_time_ms}
     print(format_json(report))
     return code
 

@@ -169,8 +169,9 @@ def test_value_agrees_with_bell_module_on_random_inputs():
         f = _random_observable(rng)
         x = min_admissible_x(f) * (1 + rng.uniform(0.01, 2.0)) + 0.05
         q = _random_quad(rng)
+        # The identity carries no correlation, so B is linear in f over 4x + Tr f.
         lhs = appendix_bell_value(f, x, q)
-        rhs = abs(bell_number(rho_of_x(f, x), q.as_setting()))
+        rhs = abs(bell_number(f.mat, q.as_setting())) / (4 * x + f.trace)
         assert abs(lhs - rhs) <= 1e-12
 
 

@@ -253,12 +253,26 @@ def test_max_evals_is_a_usage_error(tmp_path, capsys, command, options):
     assert "unrecognized arguments: --max-evals 0" in captured.err
 
 
-@pytest.mark.parametrize("command, options", [("bell-max", []), ("appendix", ["--x", "10"])])
+_FIXED_QUAD = ["--angles", "0", "0", "0", "1.5707963", "0", "0.78539816", "0", "-0.78539816"]
+
+
+@pytest.mark.parametrize("command, options", [
+    ("bell-max", ["--seed", "-1"]),
+    ("appendix", ["--x", "10", "--seed", "-1"]),
+    ("appendix", ["--x", "10", *_FIXED_QUAD, "--seed", "-1"]),
+    ("bell-max", ["--restarts", "0"]),
+    ("appendix", ["--x", "10", *_FIXED_QUAD, "--restarts", "0"]),
+])
 def test_a_negative_seed_is_invalid_input_naming_it(tmp_path, capsys, command, options):
-    code = main([command, _phi_plus_file(tmp_path), *options, "--seed", "-1"])
+    # A usage error on every path, also where --angles leaves the optimizer idle.
+    code = main([command, _phi_plus_file(tmp_path), *options])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.splitlines() == ["qbell: error: seed must be >= 0, got -1"]
+    name, value = options[-2:]
+    low = {"--seed": 0, "--restarts": 1}[name]
+    assert captured.err.splitlines()[-1] == (
+        f"qbell {command}: error: argument {name}: must be >= {low}, got {value}"
+    )
 
 
 def test_appendix_with_fixed_angles(tmp_path, capsys):
@@ -351,20 +365,47 @@ def test_check_reports_the_defect_validate_compared(tmp_path, capsys):
     assert rep["verdicts"][0]["value"] == density.hermitian_part(parse_matrix(path)[0])[1] == 5e-324
 
 
-@pytest.mark.parametrize("command, options", [
-    ("tomogram", ["--angles", "0", "0", "0", "0"]),
-    ("bell", ["--angles", *["0"] * 8]),
-    ("bell-max", []),
-    ("appendix", ["--x", "10"]),
-])
-def test_a_4x4_subcommand_names_itself_for_another_dimension(tmp_path, capsys, command, options):
-    path = _write(tmp_path, "q3.json", matrix_to_file_dict(np.eye(3) / 3, label="q3"))
+@pytest.mark.parametrize("command, options, mat, want", [
+    ("tomogram", ["--angles", "0", "0", "0", "0"], np.eye(3) / 3, 4),
+    ("bell", ["--angles", *["0"] * 8], np.eye(3) / 3, 4),
+    ("bell-max", [], np.eye(3) / 3, 4),
+    ("appendix", ["--x", "10"], np.eye(3) / 3, 4),
+    ("embed-qutrit", [], PHI_PLUS, 3),
+    # The dimension is checked before validation, so it is named first.
+    ("tomogram", ["--angles", "0", "0", "0", "0"], np.diag([-0.1, 0.6, 0.5]), 4),
+], ids=["tomogram-options0", "bell-options1", "bell-max-options2", "appendix-options3",
+        "embed-qutrit-4x4", "tomogram-not-psd"])
+def test_a_4x4_subcommand_names_itself_for_another_dimension(tmp_path, capsys, command, options,
+                                                              mat, want):
+    path = _write(tmp_path, "m.json", matrix_to_file_dict(mat.astype(complex), label="m"))
     code = main([command, path, *options])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.splitlines() == [
-        f"qbell: error: {command} subcommand needs a 4x4 matrix, got dim 3"
+        f"qbell: error: {command} subcommand needs a {want}x{want} matrix, got dim {len(mat)}"
     ]
+
+
+@pytest.mark.parametrize("command, options, dim", [
+    ("check", [], 4),
+    ("entropy", ["--partition", "2", "2"], 4),
+    ("tomogram", ["--angles", "0", "0", "0", "0"], 4),
+    ("bell", ["--angles", *["0"] * 8], 4),
+    ("bell-max", [], 4),
+    ("appendix", ["--x", "10"], 4),
+    ("embed-qutrit", [], 3),
+])
+def test_every_subcommand_rejects_an_invalid_matrix_of_its_dimension(tmp_path, capsys, command,
+                                                                      options, dim):
+    mat = np.eye(dim, dtype=complex) / dim
+    mat[0, 1] += 1e-3  # not Hermitian: neither a state nor an observable
+    path = _write(tmp_path, "bad.json", matrix_to_file_dict(mat, label="bad"))
+    code = main([command, path, *options])
+    captured = capsys.readouterr()
+    kind = "observable" if command == "appendix" else "density matrix"
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"qbell: error: matrix is not a valid {kind}: ")
 
 
 def test_appendix_rejects_inadmissible_x(tmp_path, capsys):
