@@ -19,41 +19,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import TSIRELSON_BOUND, BellSetting, bell_number
-from .density import HERM_TOL, PSD_TOL, DensityMatrix, SeparableDecomposition
+from .density import HERM_TOL, PSD_TOL, DensityMatrix, HermitianMatrix, SeparableDecomposition
 from .density import hermitian_spectrum, require_square, validate
-from .errors import DomainError
+from .errors import DomainError, QbellError
 from .tomography import EulerAngles
 
 _IDENTITY_4 = np.eye(4)
 
 
-class ObservableMatrix:
-    """Hermitian 4x4 matrix with its spectrum cached at construction."""
+def _trace(m: np.ndarray, x: float = 0.0) -> float:
+    """Tr(m + x I) in Python floats: inf past float64, without a warning."""
+    d = [v + x for v in m.diagonal().real.tolist()]
+    return (d[0] + d[1]) + (d[2] + d[3])  # paired as np.trace pairs them
 
-    __slots__ = ("_mat", "_spectrum")
+
+class ObservableMatrix(HermitianMatrix):
+    """Hermitian 4x4 matrix: the Hermitian part of the input, which is the
+    input itself, bit for bit, when that is exactly Hermitian without subnormals."""
+
+    __slots__ = ()
 
     def __init__(self, mat):
         m = require_square(mat)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        self._spectrum = hermitian_spectrum(m, HERM_TOL, "observable")
-        m = m.copy()
-        m.flags.writeable = False
-        self._mat = m
-        self._spectrum.flags.writeable = False
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self._mat
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        return self._spectrum
+        super().__init__(*hermitian_spectrum(m, HERM_TOL, "observable"))
 
     @property
     def trace(self) -> float:
-        d = self._mat.diagonal().real.tolist()  # Python floats: inf past float64, no warning
-        return (d[0] + d[1]) + (d[2] + d[3])  # paired as np.trace pairs them
+        return _trace(self.mat)
 
 
 @dataclass(frozen=True)
@@ -91,10 +85,11 @@ def min_admissible_x(f: ObservableMatrix) -> float:
 
 
 def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
-    """Density matrix (f + x I) / (4 x + Tr f); requires x > max |f_j| strictly,
-    with 4 x + Tr f finite.
+    """Density matrix (f + x I) / Tr(f + x I); requires x > max |f_j| strictly,
+    with Tr(f + x I) finite.
 
-    The spectrum of the result is (f_j + x) / (4 x + Tr f).
+    The spectrum of the result is (f_j + x) / Tr(f + x I). A shifted matrix
+    that ``validate`` rejects raises :class:`DomainError` naming ``x``.
     """
     x_min = min_admissible_x(f)
     if not x > x_min:
@@ -103,12 +98,13 @@ def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
         )
     if not math.isfinite(x):
         raise DomainError(f"x must be finite; got {x!r}")
-    denom = 4.0 * x
-    if math.isfinite(denom):  # then Tr f is finite too, since every |f_jj| < x
-        denom += f.trace
-    if not math.isfinite(denom):
-        raise DomainError(f"x must be small enough that 4 x + Tr f is finite; got {x!r}")
-    return validate((f.mat + x * _IDENTITY_4) / denom)
+    trace = _trace(f.mat, x)  # no f_jj + x is -inf, so a finite trace has finite terms
+    if not math.isfinite(trace):
+        raise DomainError(f"x must be small enough that Tr(f + x I) is finite; got {x!r}")
+    try:
+        return validate((f.mat + x * _IDENTITY_4) / trace)
+    except QbellError as e:
+        raise DomainError(f"rho(x) at x = {x!r} is not a valid density matrix: {e}") from e
 
 
 def appendix_bell_value(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> float:
@@ -126,7 +122,7 @@ def observable_bound_check(f: ObservableMatrix, q: UnitaryQuadruple) -> BoundChe
     bound = TSIRELSON_BOUND * f.trace
     if not math.isfinite(bound):
         raise DomainError(f"observable_bound_check: 2 sqrt(2) Tr f overflows; Tr f = {f.trace!r}")
-    value = abs(bell_number(f.mat, q.as_setting()))
+    value = abs(bell_number(f, q.as_setting()))
     return BoundCheck(value=value, bound=bound)
 
 

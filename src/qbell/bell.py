@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, require_square
+from .density import DensityMatrix, HermitianMatrix, require_square
 from .tomography import EulerAngles
 
 SEPARABLE_BOUND = 2.0
@@ -107,12 +107,12 @@ def bell_number(rho, setting: BellSetting) -> float:
 
 
 def correlation_tensor(rho) -> np.ndarray:
-    """3x3 tensor T[i, j] = Tr(rho sigma_i kron sigma_j) of a 4x4 state or matrix.
+    """3x3 tensor T[i, j] = Tr(rho sigma_i kron sigma_j) of a 4x4 state, observable or matrix.
 
     The correlation for directions n1, n2 is the bilinear form n1 . T . n2,
     which evaluates the Bell functional in a few dozen scalar operations.
     """
-    m = rho.mat if isinstance(rho, DensityMatrix) else require_square(rho)
+    m = rho.mat if isinstance(rho, HermitianMatrix) else require_square(rho)
     if m.shape[0] != 4:
         raise ValueError(f"correlation tensor needs a 4x4 state, got dim {m.shape[0]}")
     return np.einsum("ijkl,lk->ij", _PAULI_KRON, m).real

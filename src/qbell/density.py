@@ -22,12 +22,9 @@ PSD_TOL = 1e-9
 CLAMP_TOL = 1e-12
 
 
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix of a fixed dimension.
-
-    Instances are produced only by :func:`validate`, which hands over arrays
-    that nothing else references; they are made read-only here, not copied.
-    """
+class HermitianMatrix:
+    """Read-only Hermitian matrix and its ascending spectrum. Takes over arrays
+    that nothing else references and makes them read-only, without copying."""
 
     __slots__ = ("_mat", "_spectrum")
 
@@ -47,11 +44,17 @@ class DensityMatrix:
 
     @property
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues, ascending, cached at validation time."""
+        """Eigenvalues, ascending."""
         return self._spectrum
 
     def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim}, spectrum={np.round(self._spectrum, 6)})"
+        return f"{type(self).__name__}(dim={self.dim}, spectrum={np.round(self._spectrum, 6)})"
+
+
+class DensityMatrix(HermitianMatrix):
+    """Hermitian, unit-trace, positive-semidefinite matrix, made by :func:`validate`."""
+
+    __slots__ = ()
 
 
 def require_square(a) -> np.ndarray:
@@ -78,8 +81,8 @@ def hermitian_part(m: np.ndarray) -> tuple:
     return half + half.conj().T, defect
 
 
-def hermitian_spectrum(m: np.ndarray, herm_tol: float, stage: str) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of a square matrix.
+def hermitian_spectrum(m: np.ndarray, herm_tol: float, stage: str) -> tuple:
+    """The Hermitian part of a square matrix and its ascending eigenvalues.
 
     The package's one hermiticity check: the defect of :func:`hermitian_part`
     must not exceed ``herm_tol``. A spectrum that overflows float64 raises
@@ -97,7 +100,7 @@ def hermitian_spectrum(m: np.ndarray, herm_tol: float, stage: str) -> np.ndarray
             f"{stage}: eigenvalues overflow float64 "
             f"(largest entry modulus {float(np.abs(m).max()):.3e})"
         )
-    return spectrum
+    return part, spectrum
 
 
 def validate(mat, traced: int = 1) -> DensityMatrix:
@@ -115,7 +118,7 @@ def validate(mat, traced: int = 1) -> DensityMatrix:
     """
     # The one copy: the caller keeps its array, the result owns this one.
     m = require_square(np.array(mat, dtype=np.complex128, order="C"))
-    spectrum = hermitian_spectrum(m, HERM_TOL * traced, "validate")
+    spectrum = hermitian_spectrum(m, HERM_TOL * traced, "validate")[1]
     tr = complex(m.trace())
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceError(f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}")
@@ -224,7 +227,7 @@ def partial_transpose(rho) -> np.ndarray:
     entanglement, and positivity certifies separability. The result is a
     plain matrix because it may be indefinite.
     """
-    m = rho.mat if isinstance(rho, DensityMatrix) else require_square(rho)
+    m = rho.mat if isinstance(rho, HermitianMatrix) else require_square(rho)
     if m.shape != (4, 4):
         raise ValueError("partial_transpose is defined for 4x4 matrices split 2x2")
     return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()

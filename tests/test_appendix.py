@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,8 +21,15 @@ from qbell.appendix import (
     rho_of_x,
     separable_observable_check,
 )
-from qbell.bell import TSIRELSON_BOUND, BellSetting, bell_number, maximize_bell
-from qbell.density import SeparableDecomposition, random_density, random_separable
+from qbell.bell import TSIRELSON_BOUND, BellSetting, bell_number, correlation_tensor, maximize_bell
+from qbell.density import (
+    HermitianMatrix,
+    SeparableDecomposition,
+    hermitian_part,
+    partial_transpose,
+    random_density,
+    random_separable,
+)
 from qbell.errors import DomainError, HermiticityError, QbellError
 from qbell.tomography import EulerAngles
 
@@ -72,6 +80,80 @@ def test_observable_rejects_a_spectrum_that_overflows():
         warnings.simplefilter("error")
         with pytest.raises(QbellError, match="observable: eigenvalues overflow"):
             ObservableMatrix(huge)
+
+
+def test_observable_holds_the_hermitian_part_of_its_input():
+    rng = np.random.default_rng(34)
+    h = random_hermitian(rng, 4)
+    f = ObservableMatrix(h)
+    assert isinstance(f, HermitianMatrix) and ObservableMatrix.__slots__ == ()
+    assert not hasattr(f, "__dict__")
+    # an exactly Hermitian input is held bit for bit, read-only
+    assert f.mat.tobytes() == h.tobytes()
+    assert not f.mat.flags.writeable and not f.spectrum.flags.writeable
+    skewed = h.copy()
+    skewed[0, 1] += 6e-11
+    g = ObservableMatrix(skewed)
+    assert g.mat.tobytes() == hermitian_part(skewed)[0].tobytes()
+    assert np.array_equal(g.mat, g.mat.conj().T)
+    assert g.spectrum.tobytes() == np.linalg.eigvalsh(g.mat).tobytes()
+    assert repr(g).startswith("ObservableMatrix(dim=4, spectrum=")
+
+
+def test_bell_layer_reads_an_observable_as_its_matrix():
+    f = _random_observable(np.random.default_rng(35))
+    assert correlation_tensor(f).tobytes() == correlation_tensor(f.mat).tobytes()
+    assert partial_transpose(f).tobytes() == partial_transpose(f.mat).tobytes()
+    setting = CHSH_OPTIMAL_QUAD.as_setting()
+    assert bell_number(f, setting) == bell_number(f.mat, setting)
+
+
+def test_rho_of_x_keeps_an_accepted_hermiticity_defect_out():
+    # 4x + Tr f = 0.3 used to divide the accepted 9e-11 defect into 3e-10.
+    m = np.diag([0.01, 0.02, 0.03, 0.04]).astype(complex)
+    m[0, 1] = 9e-11
+    rho = rho_of_x(ObservableMatrix(m), 0.05)
+    assert hermitian_part(rho.mat)[1] == 0.0
+
+
+def _exact_rho(f, x):
+    shifted = [[Fraction(v.real) for v in row] for row in f.mat]
+    for j in range(4):
+        shifted[j][j] += Fraction(x)
+    trace = sum(shifted[j][j] for j in range(4))
+    return [[v / trace for v in row] for row in shifted]
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-12, 1e-10, 1e-6, 1e-3])
+def test_rho_of_x_of_a_near_scalar_observable_matches_exact_arithmetic(scale):
+    # 4x + Tr f cancels to about 4e-12 for f near -I and x just above 1; the
+    # trace of the shifted matrix does not.
+    rng = np.random.default_rng(36)
+    for _ in range(4):
+        h = random_hermitian(rng, 4).real
+        f = ObservableMatrix(-np.eye(4) + scale * h)
+        x_min = min_admissible_x(f)
+        for x in (x_min * (1 + 1e-12), x_min * (1 + 1e-6), 1.5 * x_min):
+            rho = rho_of_x(f, x)
+            want = _exact_rho(f, x)
+            err = max(abs(Fraction(rho.mat[j, k].real) - want[j][k])
+                      for j in range(4) for k in range(4))
+            assert err <= 1e-15
+
+
+def test_rho_of_x_names_x_when_the_shifted_matrix_is_invalid():
+    # x = nextafter(x_min) sits inside the eigensolver's rounding of x_min.
+    rng = np.random.default_rng(0)
+    raised = 0
+    for _ in range(20):
+        f = ObservableMatrix(-np.eye(4) + 1e-10 * random_hermitian(rng, 4))
+        x = math.nextafter(min_admissible_x(f), math.inf)
+        try:
+            rho_of_x(f, x)
+        except DomainError as e:
+            assert str(e).startswith(f"rho(x) at x = {x!r} is not a valid density matrix: ")
+            raised += 1
+    assert raised > 0
 
 
 def test_rho_of_zero_observable_is_maximally_mixed():

@@ -10,7 +10,7 @@ from conftest import EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, PHI_PLUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbell import appendix, density
+from qbell import appendix, cli, density
 from qbell.cli import InputError, format_json, main, matrix_to_file_dict, parse_matrix
 from qbell.tomography import EulerAngles
 
@@ -412,6 +412,55 @@ def test_appendix_rejects_inadmissible_x(tmp_path, capsys):
     code = main(["appendix", _phi_plus_file(tmp_path), "--x", "0.5"])
     assert code == 2
     assert "strictly exceed" in capsys.readouterr().err
+
+
+def _observable_file(tmp_path, which):
+    """An observable and a shift that rho(x) used to reject: a small scale, whose
+    accepted hermiticity defect 4x + Tr f = 0.3 tripled, and a near-scalar f,
+    for which 4x + Tr f cancels to about 4e-10."""
+    if which == "small_scale":
+        m = np.diag([0.01, 0.02, 0.03, 0.04]).astype(complex)
+        m[0, 1] = 9e-11
+        x = 0.05
+    else:
+        g = np.random.default_rng(5).standard_normal((4, 8)).view(complex)
+        m = -np.eye(4) + 1e-10 * (g + g.conj().T) / 2
+        x = appendix.min_admissible_x(appendix.ObservableMatrix(m)) * (1 + 1e-12)
+    return _write(tmp_path, f"{which}.json", matrix_to_file_dict(m, label=which)), repr(x)
+
+
+@pytest.mark.parametrize("which", ["small_scale", "near_scalar"])
+def test_appendix_accepts_what_the_observable_accepted(tmp_path, capsys, which):
+    path, x = _observable_file(tmp_path, which)
+    code, rep = _run(capsys, ["appendix", path, "--x", x, "--restarts", "1"])
+    assert code == 0
+    assert rep["result"]["x"] == float(x)
+    assert abs(sum(rep["result"]["rho_x_spectrum"]) - 1.0) <= 1e-12
+
+
+def test_appendix_states_num_tol_with_the_observable_bound(tmp_path, capsys):
+    angles = ["0", "0", "0", str(math.pi / 2), "0", str(math.pi / 4), "0", str(-math.pi / 4)]
+    _, rep = _run(capsys, ["appendix", _phi_plus_file(tmp_path), "--x", "10", "--angles", *angles])
+    assert rep["tolerances"] == {"classify_tol": 1e-6}
+    path, x = _observable_file(tmp_path, "small_scale")
+    _, rep = _run(capsys, ["appendix", path, "--x", x, "--angles", *angles])
+    assert [v["check_name"] for v in rep["verdicts"]] == ["tsirelson_bound", "observable_bound"]
+    assert rep["tolerances"] == {"classify_tol": 1e-6, "num_tol": density.PSD_TOL}
+
+
+@pytest.mark.parametrize("failing, want", [
+    ((), 0),
+    (("separable_bound",), 0),
+    (("tsirelson_bound",), 1),
+    (("separable_bound", "observable_bound"), 1),
+])
+def test_main_exits_1_exactly_when_a_verdict_other_than_the_separable_bound_fails(
+        tmp_path, capsys, monkeypatch, failing, want):
+    names = ("separable_bound", "tsirelson_bound", "observable_bound")
+    body = {"verdicts": [{"check_name": n, "holds": n not in failing} for n in names]}
+    monkeypatch.setattr(cli, "cmd_check", lambda rho, args: body)
+    assert main(["check", _phi_plus_file(tmp_path)]) == want
+    assert json.loads(capsys.readouterr().out)["verdicts"] == body["verdicts"]
 
 
 def test_appendix_rejects_infinite_x_without_warnings(tmp_path, capsys):

@@ -56,12 +56,12 @@ def test_kron_spectrum_is_pairwise_products():
 # hermitian_spectrum is the package's one Hermitian eigenvalue routine.
 
 def test_eigen_diagonal_case():
-    w = hermitian_spectrum(np.diag([3.0, 1.0, 2.0]), HERM_TOL, "test")
+    w = hermitian_spectrum(np.diag([3.0, 1.0, 2.0]), HERM_TOL, "test")[1]
     assert np.allclose(w, [1.0, 2.0, 3.0], atol=0)
 
 
 def test_eigen_pauli_x_spectrum():
-    w = hermitian_spectrum(np.array([[0, 1], [1, 0]], dtype=complex), HERM_TOL, "test")
+    w = hermitian_spectrum(np.array([[0, 1], [1, 0]], dtype=complex), HERM_TOL, "test")[1]
     assert np.allclose(w, [-1.0, 1.0], atol=1e-14)
 
 
@@ -70,7 +70,7 @@ def test_eigen_reconstruction():
     rng = np.random.default_rng(17)
     for n in (2, 3, 4, 6, 8):
         h = random_hermitian(rng, n, scale=3.0)
-        w = hermitian_spectrum(h, HERM_TOL, "test")
+        w = hermitian_spectrum(h, HERM_TOL, "test")[1]
         scale = max(np.max(np.abs(h)), 1.0)
         assert abs(w.sum() - np.trace(h).real) <= 1e-10 * scale
         assert abs((w * w).sum() - (np.abs(h) ** 2).sum()) <= 1e-10 * scale * scale
@@ -82,8 +82,8 @@ def test_eigen_unitary_similarity_invariance():
     for _ in range(25):
         h = random_hermitian(rng, 4)
         u = random_unitary(rng, 4)
-        w1 = hermitian_spectrum(h, HERM_TOL, "test")
-        w2 = hermitian_spectrum(u @ h @ u.conj().T, 1e-9, "test")
+        w1 = hermitian_spectrum(h, HERM_TOL, "test")[1]
+        w2 = hermitian_spectrum(u @ h @ u.conj().T, 1e-9, "test")[1]
         assert np.max(np.abs(w1 - w2)) <= 1e-9
 
 
@@ -95,8 +95,9 @@ def test_eigen_rejects_non_hermitian():
 def test_eigen_is_deterministic():
     rng = np.random.default_rng(31)
     h = random_hermitian(rng, 5)
-    assert np.array_equal(hermitian_spectrum(h, HERM_TOL, "test"),
-                          hermitian_spectrum(h.copy(), HERM_TOL, "test"))
+    part, w = hermitian_spectrum(h, HERM_TOL, "test")
+    again = hermitian_spectrum(h.copy(), HERM_TOL, "test")
+    assert np.array_equal(part, again[0]) and np.array_equal(w, again[1])
 
 
 def test_hermitian_part_halves_before_adding():
@@ -105,7 +106,7 @@ def test_hermitian_part_halves_before_adding():
     for _ in range(200):
         h = random_hermitian(rng, 4) + 1e-11 * rng.standard_normal((4, 4))
         want = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
-        assert hermitian_spectrum(h, HERM_TOL, "test").tobytes() == want.tobytes()
+        assert hermitian_spectrum(h, HERM_TOL, "test")[1].tobytes() == want.tobytes()
 
 
 def test_trace_rejects_non_square():

@@ -10,16 +10,22 @@ entropy. The searches are derandomized, so the suite stays deterministic.
 import math
 
 import numpy as np
-from conftest import su2
-from hypothesis import HealthCheck, given, settings
+from conftest import random_unitary, su2
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qbell.appendix import ObservableMatrix, UnitaryQuadruple, appendix_bell_value, rho_of_x
+from qbell.appendix import (
+    ObservableMatrix,
+    UnitaryQuadruple,
+    appendix_bell_value,
+    min_admissible_x,
+    rho_of_x,
+)
 from qbell.bell import CLASSIFY_TOL, TSIRELSON_BOUND, BellSetting, bell_number
 from qbell.channels import BlockPartition
 from qbell.density import HERM_TOL, PSD_TOL, validate
 from qbell.entropy import DIVERGENT, check_subadditivity, relative_entropy
-from qbell.errors import QbellError
+from qbell.errors import DomainError, QbellError
 from qbell.tomography import EulerAngles, joint_tomogram
 
 PROPERTY_SETTINGS = settings(
@@ -137,3 +143,44 @@ def test_extreme_shifts_pass_every_layer(data, mat, a1, a2, setting):
     _assert_state_layers(rho, a1, a2, setting)
     quad = UnitaryQuadruple(u1=setting.a, u2=setting.d, u3=setting.b, u4=setting.c)
     assert appendix_bell_value(f, x, quad) <= TSIRELSON_BOUND + CLASSIFY_TOL
+
+
+@st.composite
+def accepted_observables(draw):
+    """Raw 4x4 matrix at scale 1e-6 to 1e6 with a spectrum spread around -1, 0
+    or 1 (near-scalar when the spread is tiny) in a random basis, plus a
+    hermiticity defect of at most HERM_TOL."""
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    center = draw(st.sampled_from((-1.0, 0.0, 1.0)))
+    spread = draw(st.one_of(st.sampled_from((0.0, 1e-15, 1e-12, 1e-10)), st.floats(0.0, 1.0)))
+    offsets = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    v = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 4)
+    m = v @ np.diag(scale * (center + spread * offsets)) @ v.conj().T
+    m = (m + m.conj().T) / 2.0  # exactly Hermitian before the defect
+    m[0, 1] += draw(st.one_of(st.just(HERM_TOL), st.floats(0.0, HERM_TOL)))
+    return m
+
+
+@PROPERTY_SETTINGS
+@given(accepted_observables(), st.sampled_from((1e-12, 1e-6, 0.5, 0.0)), bell_settings)
+def test_an_accepted_observable_passes_rho_of_x_and_the_appendix_value(mat, excess, setting):
+    try:
+        f = ObservableMatrix(mat)
+    except QbellError:
+        assume(False)  # the defect rounded past HERM_TOL at a large scale
+    x_min = min_admissible_x(f)
+    assume(x_min > 0.0)
+    quad = UnitaryQuadruple(u1=setting.a, u2=setting.d, u3=setting.b, u4=setting.c)
+    if excess == 0.0:
+        # nextafter(x_min) can sit inside the eigensolver's rounding of x_min.
+        x = math.nextafter(x_min, math.inf)
+        try:
+            value = appendix_bell_value(f, x, quad)
+        except DomainError as e:
+            assert str(e).startswith(f"rho(x) at x = {x!r} is not a valid density matrix: ")
+            return
+    else:
+        x = x_min * (1.0 + excess)
+        rho_of_x(f, x)
+        value = appendix_bell_value(f, x, quad)
+    assert value <= TSIRELSON_BOUND + CLASSIFY_TOL
