@@ -34,8 +34,8 @@ def _trace(m: np.ndarray, x: float = 0.0) -> float:
 
 
 class ObservableMatrix(HermitianMatrix):
-    """Hermitian 4x4 matrix: the Hermitian part of the input, which is the
-    input itself, bit for bit, when that is exactly Hermitian without subnormals."""
+    """Hermitian 4x4 matrix: the Hermitian part of the input, which is the input
+    itself, bit for bit, if that is exactly Hermitian with no entry below 2**-1021."""
 
     __slots__ = ()
 

@@ -10,8 +10,9 @@ or an observable. :func:`_load` checks the dimension, then validates; the
 handler returns the report body, and :func:`main` wraps it in the envelope
 and decides the exit code.
 Reports are emitted on stdout with a fixed key order (command, input_label,
-verdicts, tolerances, seed, optimizer, result, wall_time_ms); every float is
-printed with 17 significant digits so reports round-trip exactly.
+verdicts, tolerances, seed, optimizer, result, wall_time_ms) by ``json.dumps``:
+every float prints in Python's shortest round-trip form and parses back to the
+same float, and an integral float keeps its ``.0``.
 ``wall_time_ms`` is the only nondeterministic field and always comes last.
 
 Exit codes: 1 exactly when a verdict other than ``separable_bound`` fails (a
@@ -43,32 +44,11 @@ class InputError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# JSON emission with reproducible float formatting.
-
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite number {x}")
-    return format(x, ".17g")
-
+# JSON emission.
 
 def format_json(obj) -> str:
-    """Serialize a report; dict order is preserved, floats use 17 digits."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(format_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {format_json(v)}" for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """Serialize a report: dict order kept, floats in shortest round-trip form."""
+    return json.dumps(obj, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

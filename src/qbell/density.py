@@ -74,7 +74,9 @@ def require_square(a) -> np.ndarray:
 def hermitian_part(m: np.ndarray) -> tuple:
     """(m + m†)/2 of a square matrix and the package's one hermiticity defect,
     max|m - m†| (inf where that overflows). The part is m/2 + m†/2, so it stays
-    finite for finite entries and equals (m + m†)/2 bit for bit wherever that does."""
+    finite for finite entries. It equals (m + m†)/2 bit for bit wherever that is
+    finite, except at entries of modulus below 2**-1021: their halves are subnormal
+    and may lose the last bit (5e-324 halves to 0)."""
     with np.errstate(over="ignore"):
         defect = float(np.abs(m - m.conj().T).max())
     half = m * 0.5

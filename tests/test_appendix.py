@@ -268,6 +268,47 @@ def test_value_is_the_sign_contraction_of_the_stochastic_matrix():
         assert abs(appendix_bell_value(f, x, q) - want) <= 1e-12
 
 
+# The nonzero entries (row, column, value) of sigma_x, sigma_y and sigma_z.
+_PAULI_ENTRIES = (((0, 1, 1), (1, 0, 1)), ((0, 1, -1j), (1, 0, 1j)), ((0, 0, 1), (1, 1, -1)))
+
+
+def _exact_appendix_value(f, x, q):
+    """|B| of rho(x) in Fraction arithmetic on the held f, reading the float
+    components of the setting's directions as exact."""
+    re = [[Fraction(v.real) for v in row] for row in f.mat]
+    im = [[Fraction(v.imag) for v in row] for row in f.mat]
+    for j in range(4):
+        re[j][j] += Fraction(x)
+    trace = sum(re[j][j] for j in range(4))
+    # T[i][j] = Re Tr(rho(x) sigma_i kron sigma_j): rho[k][l] times the entry at (l, k)
+    t = [[sum(re[2 * c1 + c2][2 * r1 + r2] * (p * s).real
+              - im[2 * c1 + c2][2 * r1 + r2] * (p * s).imag
+              for r1, c1, p in pi for r2, c2, s in pj) / trace
+          for pj in _PAULI_ENTRIES] for pi in _PAULI_ENTRIES]
+
+    def direction(u):
+        st = math.sin(u.theta)
+        return [Fraction(st * math.cos(u.phi)), Fraction(st * math.sin(u.phi)),
+                Fraction(math.cos(u.theta))]
+
+    def form(n, m):
+        return sum(n[i] * t[i][j] * m[j] for i in range(3) for j in range(3))
+
+    a, d, b, c = (direction(u) for u in (q.u1, q.u2, q.u3, q.u4))
+    return abs(form(a, [v + w for v, w in zip(b, c)]) + form(d, [v - w for v, w in zip(b, c)]))
+
+
+def test_value_of_a_near_scalar_observable_matches_exact_arithmetic():
+    # rho(x) is shifted before the correlation tensor sums its diagonal; read
+    # from f itself, |B(f, q)| / Tr(f + x I) sums entries near -1 that cancel.
+    rng = np.random.default_rng(38)
+    for _ in range(30):
+        f = ObservableMatrix(-np.eye(4) + 1e-10 * random_hermitian(rng, 4))
+        x = min_admissible_x(f) * (1 + 1e-12)
+        q = _random_quad(rng)
+        assert abs(appendix_bell_value(f, x, q) - _exact_appendix_value(f, x, q)) <= 1e-12
+
+
 def test_value_respects_universal_ceiling():
     rng = np.random.default_rng(25)
     for _ in range(2000):

@@ -496,11 +496,45 @@ def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_reports_round_trip_byte_identically(tmp_path, capsys):
-    angles = ["0", "0", "0", str(math.pi / 2), "0", str(math.pi / 4), "0", str(-math.pi / 4)]
-    main(["bell", _phi_plus_file(tmp_path), "--angles", *angles])
+_OPTIMAL_ANGLES = ["0", "0", "0", str(math.pi / 2), "0", str(math.pi / 4), "0", str(-math.pi / 4)]
+_EVERY_SUBCOMMAND = {
+    "check": [],
+    "entropy": ["--partition", "2", "2"],
+    "tomogram": ["--angles", "0", "0", "0", "0"],
+    "bell": ["--angles", *_OPTIMAL_ANGLES],
+    "bell-max": [],
+    "appendix": ["--x", "10"],
+    "embed-qutrit": [],
+}
+
+
+def _float_fields(doc):
+    """Each verdict's value, bound and slack, each angle and each matrix entry."""
+    for v in doc.get("verdicts", ()):
+        yield from (v["value"], v["bound"], v["slack"])
+    result = doc.get("result", {})
+    for group in ("angles", "setting", "quadruple"):
+        for direction in result.get(group, {}).values():
+            yield from (direction["phi"], direction["theta"])
+    for part in ("re", "im"):
+        for row in doc.get(part, ()):
+            yield from row
+
+
+@pytest.mark.parametrize("command", list(_EVERY_SUBCOMMAND))
+def test_reports_round_trip_byte_identically(tmp_path, capsys, command):
+    if command == "embed-qutrit":
+        q3 = {"dim": 3, "re": [[0.5, 0, 0], [0, 0.25, 0], [0, 0, 0.25]]}
+        path = _write(tmp_path, "q3.json", q3)
+    else:
+        path = _phi_plus_file(tmp_path)
+    assert main([command, path, *_EVERY_SUBCOMMAND[command]]) == 0
     text = capsys.readouterr().out.strip()
-    assert format_json(json.loads(text)) == text
+    doc = json.loads(text)
+    assert format_json(doc) == text
+    # An integral float keeps its ".0": the separable bound reads back as 2.0, not 2.
+    fields = list(_float_fields(doc))
+    assert fields and all(type(v) is float for v in fields)
 
 
 def test_matrix_file_dict_round_trip(tmp_path):

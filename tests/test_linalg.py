@@ -101,12 +101,19 @@ def test_eigen_is_deterministic():
 
 
 def test_hermitian_part_halves_before_adding():
-    # m/2 + m†/2 is (m + m†)/2 bit for bit when nothing overflows
+    # m/2 + m†/2 is (m + m†)/2 bit for bit when nothing overflows and no half is subnormal
     rng = np.random.default_rng(37)
     for _ in range(200):
         h = random_hermitian(rng, 4) + 1e-11 * rng.standard_normal((4, 4))
         want = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
         assert hermitian_spectrum(h, HERM_TOL, "test")[1].tobytes() == want.tobytes()
+    # The documented exception: an entry below 2**-1021 may lose its last bit.
+    m = np.eye(2, dtype=complex) / 2
+    m[0, 1] = m[1, 0] = 5e-324
+    assert ((m + m.conj().T) / 2.0)[0, 1] == 5e-324
+    assert hermitian_part(m)[0][0, 1] == 0.0
+    m[0, 1] = m[1, 0] = 2.0**-1021
+    assert hermitian_part(m)[0].tobytes() == ((m + m.conj().T) / 2.0).tobytes()
 
 
 def test_trace_rejects_non_square():
