@@ -88,8 +88,9 @@ def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
     """Density matrix (f + x I) / Tr(f + x I); requires x > max |f_j| strictly,
     with Tr(f + x I) finite.
 
-    The spectrum of the result is (f_j + x) / Tr(f + x I). A shifted matrix
-    that ``validate`` rejects raises :class:`DomainError` naming ``x``.
+    The spectrum of the result is (f_j + x) / Tr(f + x I) in exact arithmetic,
+    read here from f + x I, which stays accurate where f_j + x cancels. A
+    shifted matrix that ``validate`` rejects raises :class:`DomainError` naming ``x``.
     """
     x_min = min_admissible_x(f)
     if not x > x_min:

@@ -8,7 +8,9 @@ Matrix file schema::
 declares its handler and its input: a dimension (or any) and a kind, a state
 or an observable. :func:`_load` checks the dimension, then validates; the
 handler returns the report body, and :func:`main` wraps it in the envelope
-and decides the exit code.
+and decides the exit code. ``bell``, ``bell-max`` and ``appendix`` share one
+Bell stage, :func:`_bell_stage`: the setting from ``--angles``, or from the
+optimizer without them, one Bell number there, and its verdicts.
 Reports are emitted on stdout with a fixed key order (command, input_label,
 verdicts, tolerances, seed, optimizer, result, wall_time_ms) by ``json.dumps``:
 every float prints in Python's shortest round-trip form and parses back to the
@@ -182,8 +184,6 @@ def cmd_check(rho, args):
 
 def cmd_entropy(rho, args):
     n, m = args.partition
-    if n * m != rho.dim:
-        raise InputError(f"partition {n}x{m} does not factor dimension {rho.dim}")
     rep = entropy.check_subadditivity(rho, channels.BlockPartition(n, m))
     verdicts = [
         _verdict("subadditivity", rep.s_joint, rep.s_first + rep.s_second,
@@ -220,60 +220,50 @@ def cmd_tomogram(rho, args):
     return {"verdicts": verdicts, "tolerances": tol, "result": result}
 
 
-def _bell_verdicts(value: float, names=("separable_bound", "tsirelson_bound")) -> list:
+def _bell_stage(rho, args, names=("separable_bound", "tsirelson_bound")):
+    """The setting ``--angles`` names, or else the one ``maximize_bell`` finds,
+    the signed Bell number of ``rho`` there, and the report body the Bell
+    subcommands share: verdicts on |B|, tolerances, and the seed and optimizer
+    statistics when the optimizer ran."""
+    body = {"verdicts": [], "tolerances": {"classify_tol": bl.CLASSIFY_TOL}}  # report order
+    if args.angles is not None:
+        setting = bl.BellSetting.from_flat(args.angles)
+    else:
+        opt = bl.maximize_bell(rho, restarts=args.restarts, seed=args.seed)
+        setting = opt.setting
+        body["tolerances"]["step_tol"] = bl.STEP_TOL
+        body.update(seed=args.seed, optimizer=dataclasses.asdict(opt.stats))
+    b = bl.bell_number(rho, setting)
+    value = abs(b)
     bounds = {"separable_bound": bl.SEPARABLE_BOUND, "tsirelson_bound": bl.TSIRELSON_BOUND}
     holds = dict(zip(bounds, bl.bounds_hold(value)))
-    return [_verdict(n, value, bounds[n], holds[n], bounds[n] - value) for n in names]
+    body["verdicts"] = [_verdict(n, value, bounds[n], holds[n], bounds[n] - value) for n in names]
+    return setting, b, body
 
 
 def cmd_bell(rho, args):
-    setting = bl.BellSetting.from_flat(args.angles)
-    b = bl.bell_number(rho, setting)
-    value = abs(b)
-    result = {"setting": _setting_dict(setting), "bell_number": b, "abs_value": value,
-              "classification": bl.classify(value).value}
-    return {"verdicts": _bell_verdicts(value), "tolerances": {"classify_tol": bl.CLASSIFY_TOL},
-            "result": result}
-
-
-def cmd_bell_max(rho, args):
-    rep = bl.maximize_bell(rho, restarts=args.restarts, seed=args.seed)
-    result = {"value": rep.value, "setting": _setting_dict(rep.setting),
-              "classification": bl.classify(rep).value}
-    return {"verdicts": _bell_verdicts(rep.value),
-            "tolerances": {"classify_tol": bl.CLASSIFY_TOL, "step_tol": bl.STEP_TOL},
-            "seed": args.seed, "optimizer": dataclasses.asdict(rep.stats), "result": result}
+    setting, b, body = _bell_stage(rho, args)
+    body["result"] = {"setting": _setting_dict(setting), "bell_number": b, "value": abs(b),
+                      "classification": bl.classify(abs(b)).value}
+    return body
 
 
 def cmd_appendix(f, args):
     rho = apx.rho_of_x(f, args.x)
-    if args.angles is not None:
-        setting, optimizer = bl.BellSetting.from_flat(args.angles), None
-    else:
-        opt = bl.maximize_bell(rho, restarts=args.restarts, seed=args.seed)
-        setting, optimizer = opt.setting, dataclasses.asdict(opt.stats)
+    setting, b, body = _bell_stage(rho, args, ("tsirelson_bound",))
     quad = apx.UnitaryQuadruple(u1=setting.a, u2=setting.d, u3=setting.b, u4=setting.c)
-    value = abs(bl.bell_number(rho, setting))
-
-    verdicts = _bell_verdicts(value, ("tsirelson_bound",))
-    tol = {"classify_tol": bl.CLASSIFY_TOL}
-    result = {
+    if float(f.spectrum[0]) > 0.0:
+        chk = apx.observable_bound_check(f, quad)
+        body["verdicts"].append(_verdict("observable_bound", chk.value, chk.bound,
+                                         chk.holds, chk.slack))
+        body["tolerances"]["num_tol"] = density.PSD_TOL  # the margin of BoundCheck.holds
+    body["result"] = {
         "x": float(args.x),
         "min_admissible_x": apx.min_admissible_x(f),
         "quadruple": {k: _angles_dict(getattr(quad, k)) for k in ("u1", "u2", "u3", "u4")},
-        "value": value,
+        "value": abs(b),
         "rho_x_spectrum": [float(v) for v in rho.spectrum],
     }
-    if float(f.spectrum[0]) > 0.0:
-        chk = apx.observable_bound_check(f, quad)
-        verdicts.append(_verdict("observable_bound", chk.value, chk.bound,
-                                 chk.holds, chk.slack))
-        result["observable_check"] = {"value": chk.value, "bound": chk.bound, "holds": chk.holds}
-        tol["num_tol"] = density.PSD_TOL  # the margin of BoundCheck.holds
-    body = {"verdicts": verdicts, "tolerances": tol}
-    if optimizer is not None:
-        body.update(seed=args.seed, optimizer=optimizer)
-    body["result"] = result
     return body
 
 
@@ -345,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=tuple(f"{n}_{x}" for n in ("a", "d", "b", "c") for x in ("PHI", "THETA")),
                    help="radians: phi and theta for directions a, d, b, c")
 
-    p = subcommand("bell-max", cmd_bell_max, "maximize |Bell number| over settings", dim=4)
+    p = subcommand("bell-max", cmd_bell, "maximize |Bell number| over settings", dim=4)
+    p.set_defaults(angles=None)
     _add_optimizer_args(p)
 
     p = subcommand("appendix", cmd_appendix, "shifted-observable Bell bounds", dim=4,

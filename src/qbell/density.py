@@ -116,15 +116,17 @@ def validate(mat, traced: int = 1) -> DensityMatrix:
 
     For a block trace over ``traced`` blocks of a valid state, whose defects
     it sums, the hermiticity and positivity tolerances scale by ``traced``;
-    positivity also allows each of the ``traced - 1`` sums ``HERM_TOL`` of rounding.
+    trace and positivity also allow each of the ``traced - 1`` sums ``HERM_TOL``
+    of rounding, as a block trace sums the diagonal in its own order.
     """
     # The one copy: the caller keeps its array, the result owns this one.
     m = require_square(np.array(mat, dtype=np.complex128, order="C"))
     spectrum = hermitian_spectrum(m, HERM_TOL * traced, "validate")[1]
+    rounding = HERM_TOL * (traced - 1)
     tr = complex(m.trace())
-    if abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr - 1.0) > TRACE_TOL + rounding:
         raise TraceError(f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}")
-    psd_tol = PSD_TOL * traced + HERM_TOL * (traced - 1)
+    psd_tol = PSD_TOL * traced + rounding
     if spectrum[0] < -psd_tol:
         raise PositivityError(
             f"negative eigenvalue {spectrum[0]:.6e} below tolerance -{psd_tol:.1e}"

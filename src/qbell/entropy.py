@@ -93,8 +93,10 @@ def relative_entropy(w1, w2):
     :data:`DIVERGENT`, which is ``math.inf``. The result is never negative.
     """
     a, b = (np.asarray(w, dtype=float) for w in (w1, w2))
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"expected two equal-length vectors, got {a.shape} and {b.shape}")
+    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+        raise ValueError(
+            f"expected two non-empty equal-length vectors, got {a.shape} and {b.shape}"
+        )
     a, b = a.tolist(), b.tolist()
     for name, v in (("w1", a), ("w2", b)):
         # A tomogram of a state validate accepted can read as low as -PSD_TOL,

@@ -109,3 +109,7 @@ EDGE_NEGATIVE_BLOCK = np.diag([-9e-10, -9e-10, 0.5 + 9e-10, 0.5 + 9e-10]).astype
 EDGE_SKEW_BLOCKS = np.eye(4, dtype=complex) / 4
 EDGE_SKEW_BLOCKS[0, 1] += 6e-11
 EDGE_SKEW_BLOCKS[2, 3] += 6e-11
+# Its trace deviates from 1 by just under TRACE_TOL; summed in the order of the
+# second 2x2 block trace, the same diagonal deviates by just over it.
+EDGE_TRACE = np.diag([0.15248470865730118, 0.45161117671210116,
+                      0.18663110835152466, 0.2092730063790728]).astype(complex)

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -22,6 +23,7 @@ from qbell.appendix import (
     separable_observable_check,
 )
 from qbell.bell import TSIRELSON_BOUND, BellSetting, bell_number, correlation_tensor, maximize_bell
+from qbell.cli import main, matrix_to_file_dict
 from qbell.density import (
     HermitianMatrix,
     SeparableDecomposition,
@@ -307,6 +309,24 @@ def test_value_of_a_near_scalar_observable_matches_exact_arithmetic():
         x = min_admissible_x(f) * (1 + 1e-12)
         q = _random_quad(rng)
         assert abs(appendix_bell_value(f, x, q) - _exact_appendix_value(f, x, q)) <= 1e-12
+
+
+def test_printed_spectrum_of_a_near_scalar_observable_is_that_of_the_shifted_matrix(
+    tmp_path, capsys
+):
+    # f + x I is exact here (Sterbenz), so its eigenvalues are accurate to about
+    # 1e-26; (f_j + x) / Tr(f + x I) from f's own spectrum is off by up to 1e-6.
+    rng = np.random.default_rng(39)
+    path = tmp_path / "f.json"
+    for _ in range(30):
+        f = ObservableMatrix(-np.eye(4) + 1e-10 * random_hermitian(rng, 4))
+        x = min_admissible_x(f) * (1 + 1e-12)
+        path.write_text(json.dumps(matrix_to_file_dict(f.mat)))
+        assert main(["appendix", str(path), "--x", repr(x), "--angles", *["0"] * 8]) == 0
+        got = json.loads(capsys.readouterr().out)["result"]["rho_x_spectrum"]
+        trace = float(sum(Fraction(v) + Fraction(x) for v in f.mat.diagonal().real))
+        want = np.linalg.eigvalsh(f.mat + x * np.eye(4)) / trace
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12
 
 
 def test_value_respects_universal_ceiling():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, PHI_PLUS, su2
+from conftest import EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, EDGE_TRACE, PHI_PLUS, su2
 
 from qbell.channels import BlockPartition, block_trace_first, block_trace_second
-from qbell.density import HERM_TOL, PSD_TOL, random_density, validate
+from qbell.density import HERM_TOL, PSD_TOL, TRACE_TOL, random_density, validate
 from qbell.entropy import check_subadditivity
 from qbell.tomography import EulerAngles
 
@@ -132,7 +132,9 @@ def test_reductions_of_edge_states_are_accepted():
     skew = validate(EDGE_SKEW_BLOCKS)
     second = block_trace_second(skew, p)
     assert abs(second.mat[0, 1] - second.mat[1, 0].conjugate() - 1.2e-10) <= 1e-20
-    for rho in (neg, skew):
+    trace = validate(EDGE_TRACE)
+    assert abs(complex(block_trace_second(trace, p).mat.trace()) - 1.0) > TRACE_TOL
+    for rho in (neg, skew, trace):
         report = check_subadditivity(rho, p)
         assert report.subadditivity_holds and report.araki_lieb_holds
 

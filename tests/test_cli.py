@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, PHI_PLUS
+from conftest import EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, EDGE_TRACE, PHI_PLUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -196,13 +196,15 @@ def test_entropy_prints_the_margin_in_force(tmp_path, capsys):
 
 
 def test_entropy_rejects_bad_partition(tmp_path, capsys):
-    code = main(["entropy", _phi_plus_file(tmp_path), "--partition", "2", "3"])
-    assert code == 2
-    assert "does not factor" in capsys.readouterr().err
+    for partition, message in ((("2", "3"), "partition (2, 3) does not factor dimension 4"),
+                               (("0", "4"), "partition sizes must be >= 1, got (0, 4)")):
+        code = main(["entropy", _phi_plus_file(tmp_path), "--partition", *partition])
+        assert code == 2
+        assert capsys.readouterr().err == f"qbell: error: {message}\n"
 
 
-@pytest.mark.parametrize("state", [EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS],
-                         ids=["negative-block", "skew-blocks"])
+@pytest.mark.parametrize("state", [EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, EDGE_TRACE],
+                         ids=["negative-block", "skew-blocks", "trace"])
 def test_entropy_accepts_edge_states(tmp_path, capsys, state):
     path = _write(tmp_path, "edge.json", matrix_to_file_dict(state, label="edge"))
     code, rep = _run(capsys, ["entropy", path, "--partition", "2", "2"])
@@ -222,7 +224,9 @@ def test_bell_at_optimal_angles(tmp_path, capsys):
     angles = ["0", "0", "0", str(math.pi / 2), "0", str(math.pi / 4), "0", str(-math.pi / 4)]
     code, rep = _run(capsys, ["bell", _phi_plus_file(tmp_path), "--angles", *angles])
     assert code == 0
-    assert abs(rep["result"]["abs_value"] - 2 * math.sqrt(2)) <= 1e-9
+    assert list(rep["result"]) == ["setting", "bell_number", "value", "classification"]
+    assert rep["result"]["value"] == abs(rep["result"]["bell_number"])
+    assert abs(rep["result"]["value"] - 2 * math.sqrt(2)) <= 1e-9
     assert rep["result"]["classification"] == "hidden_bell_correlation"
     names = [v["check_name"] for v in rep["verdicts"]]
     assert names == ["separable_bound", "tsirelson_bound"]
@@ -236,8 +240,11 @@ def test_bell_max_finds_the_optimum(tmp_path, capsys):
         ["bell-max", _phi_plus_file(tmp_path), "--restarts", "16", "--seed", "7"],
     )
     assert code == 0
+    assert list(rep["result"]) == ["setting", "bell_number", "value", "classification"]
+    assert rep["result"]["value"] == abs(rep["result"]["bell_number"])
     assert abs(rep["result"]["value"] - 2.8284271) <= 1e-6
     assert rep["result"]["classification"] == "hidden_bell_correlation"
+    assert list(rep["tolerances"]) == ["classify_tol", "step_tol"]
     assert rep["seed"] == 7
     assert rep["optimizer"]["restarts"] == 16
     assert rep["optimizer"]["converged"] is True

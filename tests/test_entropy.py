@@ -132,6 +132,8 @@ def test_relative_entropy_divergence_marker():
 def test_relative_entropy_input_validation():
     with pytest.raises(ValueError, match="equal-length"):
         relative_entropy([1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"non-empty equal-length vectors, got \(0,\) and \(0,\)"):
+        relative_entropy([], [])
     with pytest.raises(ValueError, match="sums to"):
         relative_entropy([0.5, 0.4], [0.5, 0.5])
     with pytest.raises(ValueError, match="negative"):

@@ -23,7 +23,7 @@ from qbell.appendix import (
 )
 from qbell.bell import CLASSIFY_TOL, TSIRELSON_BOUND, BellSetting, bell_number
 from qbell.channels import BlockPartition
-from qbell.density import HERM_TOL, PSD_TOL, validate
+from qbell.density import HERM_TOL, PSD_TOL, TRACE_TOL, validate
 from qbell.entropy import DIVERGENT, check_subadditivity, relative_entropy
 from qbell.errors import DomainError, QbellError
 from qbell.tomography import EulerAngles, joint_tomogram
@@ -119,6 +119,33 @@ def test_boundary_states_pass_every_layer(m1, m2, a1, a2, setting):
     w2 = _assert_state_layers(rho2, a1, a2, setting)
     for d in (relative_entropy(w1, w2), relative_entropy(w2, w1)):
         assert d is DIVERGENT or d >= 0.0
+
+
+@st.composite
+def trace_edge_states(draw):
+    """Raw 4x4, 6x6 or 8x8 matrix whose trace lies within a few ulps of
+    1 - TRACE_TOL or 1 + TRACE_TOL, diagonal or in a random basis."""
+    dim = draw(st.sampled_from((4, 6, 8)))
+    w = np.array(draw(st.lists(weights, min_size=dim, max_size=dim).filter(lambda v: sum(v) > 0)))
+    edge = 1.0 + draw(st.sampled_from((-TRACE_TOL, TRACE_TOL))) + draw(st.integers(-4, 4)) * 2e-16
+    m = np.diag(w / w.sum() * edge).astype(complex)
+    if draw(st.booleans()):
+        u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), dim)
+        m = u @ m @ u.conj().T
+    return m
+
+
+@PROPERTY_SETTINGS
+@given(trace_edge_states())
+def test_trace_edge_states_pass_every_block_trace(mat):
+    # Each block trace sums the diagonal in its own order, so a state at the
+    # trace edge has reductions a few ulps past it.
+    rho = _validated(mat)
+    if rho is None:
+        return
+    for n in (k for k in range(1, rho.dim + 1) if rho.dim % k == 0):
+        rep = check_subadditivity(rho, BlockPartition(n, rho.dim // n))
+        assert rep.subadditivity_holds and rep.araki_lieb_holds
 
 
 @st.composite
