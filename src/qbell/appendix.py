@@ -66,14 +66,15 @@ class UnitaryQuadruple:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Value of a contraction and the bound it must respect within ``PSD_TOL``."""
+    """Value of a contraction and the bound it must respect; the slack may read to -``margin``."""
 
     value: float
     bound: float
+    margin = PSD_TOL  # not a field: the same for every check
 
     @property
     def holds(self) -> bool:
-        return self.value <= self.bound + PSD_TOL
+        return self.slack >= -self.margin
 
     @property
     def slack(self) -> float:

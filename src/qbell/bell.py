@@ -214,23 +214,17 @@ def maximize_bell(rho: DensityMatrix, restarts: int = 8, seed: int = 0) -> BellR
     )
 
 
-def bounds_hold(value: float) -> tuple:
-    """Whether |value| respects the separable bound 2 and the universal
-    ceiling 2 sqrt(2), each within :data:`CLASSIFY_TOL`."""
-    v = abs(value)
-    return v <= SEPARABLE_BOUND + CLASSIFY_TOL, v <= TSIRELSON_BOUND + CLASSIFY_TOL
-
-
 def classify(report) -> BellClass:
     """Place a :class:`BellReport`, or a bare Bell value, relative to the
     separable and universal bounds.
 
+    A bound holds when its slack, bound - |B|, is at least minus :data:`CLASSIFY_TOL`.
     Exceeding 2 sqrt(2) beyond tolerance is impossible for a valid density
     matrix and therefore flags a numerical or input defect.
     """
-    separable, tsirelson = bounds_hold(getattr(report, "value", report))
-    if separable:
+    v = abs(getattr(report, "value", report))
+    if SEPARABLE_BOUND - v >= -CLASSIFY_TOL:
         return BellClass.WITHIN_SEPARABLE_BOUND
-    if tsirelson:
+    if TSIRELSON_BOUND - v >= -CLASSIFY_TOL:
         return BellClass.HIDDEN_BELL_CORRELATION
     return BellClass.TSIRELSON_VIOLATION_ERROR

@@ -11,8 +11,11 @@ handler returns the report body, and :func:`main` wraps it in the envelope
 and decides the exit code. ``bell``, ``bell-max`` and ``appendix`` share one
 Bell stage, :func:`_bell_stage`: the setting from ``--angles``, or from the
 optimizer without them, one Bell number there, and its verdicts.
+Every verdict comes from :func:`_verdict`, with keys in the order check_name,
+value, bound, margin, holds, slack. A defect check's tolerance is its bound, with
+margin 0; a physical bound carries the numerical margin of the code that owns it.
 Reports are emitted on stdout with a fixed key order (command, input_label,
-verdicts, tolerances, seed, optimizer, result, wall_time_ms) by ``json.dumps``:
+verdicts, seed, optimizer, result, wall_time_ms) by ``json.dumps``:
 every float prints in Python's shortest round-trip form and parses back to the
 same float, and an integral float keeps its ``.0``.
 ``wall_time_ms`` is the only nondeterministic field and always comes last.
@@ -150,9 +153,12 @@ def _load(args):
     return data, label
 
 
-def _verdict(check_name: str, value: float, bound: float, holds: bool, slack: float) -> dict:
+def _verdict(check_name: str, value: float, bound: float, margin: float, lower=False) -> dict:
+    """The one verdict rule: the slack is bound - value (value - bound for a lower
+    bound), and the verdict holds when the slack is at least -``margin``."""
+    slack = value - bound if lower else bound - value
     return {"check_name": check_name, "value": float(value), "bound": float(bound),
-            "holds": bool(holds), "slack": float(slack)}
+            "margin": float(margin), "holds": bool(slack >= -margin), "slack": float(slack)}
 
 
 def _angles_dict(a: tomography.EulerAngles) -> dict:
@@ -171,27 +177,22 @@ def cmd_check(rho, args):
     tr_dev = abs(complex(np.trace(rho.mat)) - 1.0)
     min_eig = float(rho.spectrum[0])
     verdicts = [
-        _verdict("hermiticity", herm, density.HERM_TOL, True, density.HERM_TOL - herm),
-        _verdict("trace_normalization", tr_dev, density.TRACE_TOL, True,
-                 density.TRACE_TOL - tr_dev),
-        _verdict("positivity", min_eig, -density.PSD_TOL, True, min_eig + density.PSD_TOL),
+        _verdict("hermiticity", herm, density.HERM_TOL, 0.0),
+        _verdict("trace_normalization", tr_dev, density.TRACE_TOL, 0.0),
+        _verdict("positivity", min_eig, -density.PSD_TOL, 0.0, lower=True),
     ]
-    tol = {"herm_tol": density.HERM_TOL, "trace_tol": density.TRACE_TOL,
-           "psd_tol": density.PSD_TOL}
     result = {"dim": rho.dim, "spectrum": [float(v) for v in rho.spectrum]}
-    return {"verdicts": verdicts, "tolerances": tol, "result": result}
+    return {"verdicts": verdicts, "result": result}
 
 
 def cmd_entropy(rho, args):
     n, m = args.partition
     rep = entropy.check_subadditivity(rho, channels.BlockPartition(n, m))
     verdicts = [
-        _verdict("subadditivity", rep.s_joint, rep.s_first + rep.s_second,
-                 rep.subadditivity_holds, rep.slack_sub),
-        _verdict("araki_lieb", rep.s_joint, abs(rep.s_first - rep.s_second),
-                 rep.araki_lieb_holds, rep.slack_al),
+        _verdict("subadditivity", rep.s_joint, rep.s_first + rep.s_second, rep.margin),
+        _verdict("araki_lieb", rep.s_joint, abs(rep.s_first - rep.s_second), rep.margin,
+                 lower=True),
     ]
-    tol = {"num_tol": density.PSD_TOL, "entropy_margin": rep.margin}
     result = {
         "partition": {"n": n, "m": m},
         "s_joint": rep.s_joint,
@@ -199,7 +200,7 @@ def cmd_entropy(rho, args):
         "s_second": rep.s_second,
         "mutual_information": rep.mutual_information,
     }
-    return {"verdicts": verdicts, "tolerances": tol, "result": result}
+    return {"verdicts": verdicts, "result": result}
 
 
 def cmd_tomogram(rho, args):
@@ -207,37 +208,32 @@ def cmd_tomogram(rho, args):
     probs = tomography.joint_tomogram(
         rho, tomography.EulerAngles(phi1, th1), tomography.EulerAngles(phi2, th2)
     )
-    total = float(np.sum(probs))
-    holds = abs(total - 1.0) <= density.PSD_TOL
-    verdicts = [_verdict("normalization", total, 1.0, holds,
-                         density.PSD_TOL - abs(total - 1.0))]
-    tol = {"num_tol": density.PSD_TOL, "clamp_tol": density.CLAMP_TOL}
+    verdicts = [_verdict("normalization", abs(float(np.sum(probs)) - 1.0), density.PSD_TOL, 0.0)]
     result = {
         "angles": {"first": {"phi": phi1, "theta": th1},
                    "second": {"phi": phi2, "theta": th2}},
         "probabilities": [float(p) for p in probs],
+        "clamp_tol": density.CLAMP_TOL,
     }
-    return {"verdicts": verdicts, "tolerances": tol, "result": result}
+    return {"verdicts": verdicts, "result": result}
 
 
 def _bell_stage(rho, args, names=("separable_bound", "tsirelson_bound")):
     """The setting ``--angles`` names, or else the one ``maximize_bell`` finds,
     the signed Bell number of ``rho`` there, and the report body the Bell
-    subcommands share: verdicts on |B|, tolerances, and the seed and optimizer
-    statistics when the optimizer ran."""
-    body = {"verdicts": [], "tolerances": {"classify_tol": bl.CLASSIFY_TOL}}  # report order
+    subcommands share: verdicts on |B| within ``CLASSIFY_TOL``, and the seed and
+    optimizer statistics, with ``step_tol``, when the optimizer ran."""
+    body = {"verdicts": []}  # report order
     if args.angles is not None:
         setting = bl.BellSetting.from_flat(args.angles)
     else:
         opt = bl.maximize_bell(rho, restarts=args.restarts, seed=args.seed)
         setting = opt.setting
-        body["tolerances"]["step_tol"] = bl.STEP_TOL
-        body.update(seed=args.seed, optimizer=dataclasses.asdict(opt.stats))
+        body.update(seed=args.seed,
+                    optimizer={**dataclasses.asdict(opt.stats), "step_tol": bl.STEP_TOL})
     b = bl.bell_number(rho, setting)
-    value = abs(b)
     bounds = {"separable_bound": bl.SEPARABLE_BOUND, "tsirelson_bound": bl.TSIRELSON_BOUND}
-    holds = dict(zip(bounds, bl.bounds_hold(value)))
-    body["verdicts"] = [_verdict(n, value, bounds[n], holds[n], bounds[n] - value) for n in names]
+    body["verdicts"] = [_verdict(n, abs(b), bounds[n], bl.CLASSIFY_TOL) for n in names]
     return setting, b, body
 
 
@@ -254,9 +250,7 @@ def cmd_appendix(f, args):
     quad = apx.UnitaryQuadruple(u1=setting.a, u2=setting.d, u3=setting.b, u4=setting.c)
     if float(f.spectrum[0]) > 0.0:
         chk = apx.observable_bound_check(f, quad)
-        body["verdicts"].append(_verdict("observable_bound", chk.value, chk.bound,
-                                         chk.holds, chk.slack))
-        body["tolerances"]["num_tol"] = density.PSD_TOL  # the margin of BoundCheck.holds
+        body["verdicts"].append(_verdict("observable_bound", chk.value, chk.bound, chk.margin))
     body["result"] = {
         "x": float(args.x),
         "min_admissible_x": apx.min_admissible_x(f),

@@ -124,8 +124,10 @@ def validate(mat, traced: int = 1) -> DensityMatrix:
     spectrum = hermitian_spectrum(m, HERM_TOL * traced, "validate")[1]
     rounding = HERM_TOL * (traced - 1)
     tr = complex(m.trace())
-    if abs(tr - 1.0) > TRACE_TOL + rounding:
-        raise TraceError(f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}")
+    trace_tol = TRACE_TOL + rounding
+    if abs(tr - 1.0) > trace_tol:
+        raise TraceError(f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}, "
+                         f"exceeds tolerance {trace_tol:.1e}")
     psd_tol = PSD_TOL * traced + rounding
     if spectrum[0] < -psd_tol:
         raise PositivityError(

@@ -13,7 +13,6 @@ from qbell.bell import (
     BellSetting,
     OptimizerStats,
     bell_number,
-    bounds_hold,
     classify,
     correlation_tensor,
     maximize_bell,
@@ -216,7 +215,20 @@ def test_classify(value, expected):
 
 
 def test_report_bound_flags_are_consistent():
-    # satisfying the separable bound implies satisfying the universal one
-    for v in (0.0, 1.9, SEPARABLE_BOUND + CLASSIFY_TOL, 2.5, TSIRELSON_BOUND + CLASSIFY_TOL, 3.0):
-        separable, tsirelson = bounds_hold(v)
-        assert (not separable) or tsirelson
+    # the class never steps back as |B| grows: within the separable bound is within both
+    order = list(BellClass)
+    values = (0.0, 1.9, SEPARABLE_BOUND + CLASSIFY_TOL, 2.5, TSIRELSON_BOUND + CLASSIFY_TOL, 3.0)
+    ranks = [order.index(classify(v)) for v in values]
+    assert ranks == sorted(ranks)
+
+
+@pytest.mark.parametrize("bound, inside, beyond", [
+    (SEPARABLE_BOUND, BellClass.WITHIN_SEPARABLE_BOUND, BellClass.HIDDEN_BELL_CORRELATION),
+    (TSIRELSON_BOUND, BellClass.HIDDEN_BELL_CORRELATION, BellClass.TSIRELSON_VIOLATION_ERROR),
+])
+def test_classify_decides_each_bound_exactly_at_its_tolerance(bound, inside, beyond):
+    # bound - |B| is exact near the bound, so a slack of exactly -CLASSIFY_TOL
+    # holds; fl(bound + CLASSIFY_TOL) lies 1.4e-16 beyond that and does not.
+    edge = bound + CLASSIFY_TOL
+    assert classify(edge) is beyond
+    assert classify(np.nextafter(edge, 0.0)) is inside

@@ -10,7 +10,7 @@ from conftest import EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, EDGE_TRACE, PHI_PLUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbell import appendix, cli, density
+from qbell import appendix, bell, channels, cli, density, entropy
 from qbell.cli import InputError, format_json, main, matrix_to_file_dict, parse_matrix
 from qbell.tomography import EulerAngles
 
@@ -188,11 +188,10 @@ def test_entropy_prints_the_margin_in_force(tmp_path, capsys):
     path = _write(tmp_path, "edge.json", matrix_to_file_dict(state, label="edge"))
     code, rep = _run(capsys, ["entropy", path, "--partition", "2", "2"])
     assert code == 0
-    assert list(rep["tolerances"]) == ["num_tol", "entropy_margin"]
-    assert rep["tolerances"]["num_tol"] == 1e-9
-    assert 4.7e-8 < rep["tolerances"]["entropy_margin"] < 4.9e-8
-    sub = rep["verdicts"][0]
-    assert sub["holds"] and -rep["tolerances"]["entropy_margin"] < sub["slack"] < -1e-9
+    sub, al = rep["verdicts"]
+    assert sub["margin"] == al["margin"]
+    assert 4.7e-8 < sub["margin"] < 4.9e-8
+    assert sub["holds"] and -sub["margin"] < sub["slack"] < -1e-9
 
 
 def test_entropy_rejects_bad_partition(tmp_path, capsys):
@@ -244,10 +243,12 @@ def test_bell_max_finds_the_optimum(tmp_path, capsys):
     assert rep["result"]["value"] == abs(rep["result"]["bell_number"])
     assert abs(rep["result"]["value"] - 2.8284271) <= 1e-6
     assert rep["result"]["classification"] == "hidden_bell_correlation"
-    assert list(rep["tolerances"]) == ["classify_tol", "step_tol"]
+    assert [v["margin"] for v in rep["verdicts"]] == [bell.CLASSIFY_TOL] * 2
     assert rep["seed"] == 7
+    assert list(rep["optimizer"]) == ["restarts", "evaluations", "converged", "step_tol"]
     assert rep["optimizer"]["restarts"] == 16
     assert rep["optimizer"]["converged"] is True
+    assert rep["optimizer"]["step_tol"] == bell.STEP_TOL
 
 
 @pytest.mark.parametrize("command, options", [("bell-max", []), ("appendix", ["--x", "10"])])
@@ -445,14 +446,16 @@ def test_appendix_accepts_what_the_observable_accepted(tmp_path, capsys, which):
     assert abs(sum(rep["result"]["rho_x_spectrum"]) - 1.0) <= 1e-12
 
 
-def test_appendix_states_num_tol_with_the_observable_bound(tmp_path, capsys):
+def test_appendix_prints_the_margin_of_each_bound(tmp_path, capsys):
     angles = ["0", "0", "0", str(math.pi / 2), "0", str(math.pi / 4), "0", str(-math.pi / 4)]
     _, rep = _run(capsys, ["appendix", _phi_plus_file(tmp_path), "--x", "10", "--angles", *angles])
-    assert rep["tolerances"] == {"classify_tol": 1e-6}
+    assert [(v["check_name"], v["margin"]) for v in rep["verdicts"]] == [
+        ("tsirelson_bound", 1e-6)]
     path, x = _observable_file(tmp_path, "small_scale")
     _, rep = _run(capsys, ["appendix", path, "--x", x, "--angles", *angles])
-    assert [v["check_name"] for v in rep["verdicts"]] == ["tsirelson_bound", "observable_bound"]
-    assert rep["tolerances"] == {"classify_tol": 1e-6, "num_tol": density.PSD_TOL}
+    assert [(v["check_name"], v["margin"]) for v in rep["verdicts"]] == [
+        ("tsirelson_bound", 1e-6), ("observable_bound", appendix.BoundCheck.margin)]
+    assert appendix.BoundCheck.margin == density.PSD_TOL
 
 
 @pytest.mark.parametrize("failing, want", [
@@ -542,6 +545,31 @@ def test_reports_round_trip_byte_identically(tmp_path, capsys, command):
     # An integral float keeps its ".0": the separable bound reads back as 2.0, not 2.
     fields = list(_float_fields(doc))
     assert fields and all(type(v) is float for v in fields)
+    # Every verdict is decided by the one rule and prints the margin it used.
+    assert "tolerances" not in doc
+    for v in doc.get("verdicts", ()):
+        assert list(v) == ["check_name", "value", "bound", "margin", "holds", "slack"]
+        assert type(v["margin"]) is float
+        assert v["holds"] == (v["slack"] >= -v["margin"])
+
+
+def test_cli_verdicts_agree_with_the_library_at_the_edges(tmp_path, capsys, monkeypatch):
+    for state in (EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, EDGE_TRACE):
+        path = _write(tmp_path, "edge.json", matrix_to_file_dict(state, label="edge"))
+        _, rep = _run(capsys, ["entropy", path, "--partition", "2", "2"])
+        lib = entropy.check_subadditivity(density.validate(state), channels.BlockPartition(2, 2))
+        assert [v["margin"] for v in rep["verdicts"]] == [lib.margin] * 2
+        assert [v["holds"] for v in rep["verdicts"]] == [lib.subadditivity_holds,
+                                                        lib.araki_lieb_holds]
+    # |B| = fl(2 + CLASSIFY_TOL) lies just beyond the separable bound's margin.
+    edge = bell.SEPARABLE_BOUND + bell.CLASSIFY_TOL
+    for value, within in ((edge, False), (float(np.nextafter(edge, 0.0)), True)):
+        monkeypatch.setattr(bell, "bell_number", lambda rho, setting: value)
+        code, rep = _run(capsys, ["bell", _phi_plus_file(tmp_path), "--angles", *["0"] * 8])
+        separable = rep["verdicts"][0]
+        assert code == 0 and separable["value"] == value
+        assert separable["holds"] is within
+        assert (rep["result"]["classification"] == "within_separable_bound") is within
 
 
 def test_matrix_file_dict_round_trip(tmp_path):

@@ -61,10 +61,13 @@ def test_validate_scales_hermiticity_and_positivity_tolerances_by_traced():
     skew[0, 1] = 3e-10
     with pytest.raises(HermiticityError, match="exceeds tolerance 2.0e-10"):
         validate(skew, traced=2)
-    # the trace allows HERM_TOL of rounding for each of the traced - 1 sums
+    # the trace allows HERM_TOL of rounding for each of the traced - 1 sums,
+    # and names the tolerance it compared, as the other two checks do
     validate(np.diag([0.5, 0.5 + 3.9e-10]), traced=4)
-    with pytest.raises(TraceError, match="by 4.100e-10"):
+    with pytest.raises(TraceError, match="by 4.100e-10, exceeds tolerance 4.0e-10$"):
         validate(np.diag([0.5, 0.5 + 4.1e-10]), traced=4)
+    with pytest.raises(TraceError, match="by 1.500e-10, exceeds tolerance 1.0e-10$"):
+        validate(np.diag([0.5, 0.5 + 1.5e-10]), traced=1)
 
 
 def test_validate_reads_entries_near_the_float_limit_without_overflow():
