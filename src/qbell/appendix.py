@@ -20,7 +20,7 @@ import numpy as np
 
 from .bell import TSIRELSON_BOUND, BellSetting, bell_number
 from .density import HERM_TOL, PSD_TOL, DensityMatrix, HermitianMatrix, SeparableDecomposition
-from .density import hermitian_spectrum, require_square, validate
+from .density import hermitian_spectrum, require_square, validate, verdict
 from .errors import DomainError, QbellError
 from .tomography import EulerAngles
 
@@ -64,23 +64,6 @@ class UnitaryQuadruple:
         return BellSetting(a=self.u1, d=self.u2, b=self.u3, c=self.u4)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """Value of a contraction and the bound it must respect; the slack may read to -``margin``."""
-
-    value: float
-    bound: float
-    margin = PSD_TOL  # not a field: the same for every check
-
-    @property
-    def holds(self) -> bool:
-        return self.slack >= -self.margin
-
-    @property
-    def slack(self) -> float:
-        return self.bound - self.value
-
-
 def min_admissible_x(f: ObservableMatrix) -> float:
     return float(max(abs(f.spectrum[0]), abs(f.spectrum[-1])))  # ascending spectrum
 
@@ -115,23 +98,21 @@ def appendix_bell_value(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> f
     return abs(bell_number(rho_of_x(f, x), q.as_setting()))
 
 
-def observable_bound_check(f: ObservableMatrix, q: UnitaryQuadruple) -> BoundCheck:
-    """For positive-definite f: |Bell number of f| at ``q`` against the bound
-    2 sqrt(2) Tr f."""
+def observable_bound_check(f: ObservableMatrix, q: UnitaryQuadruple) -> dict:
+    """For positive-definite f: the ``observable_bound`` verdict of |Bell number
+    of f| at ``q`` against 2 sqrt(2) Tr f, within ``PSD_TOL``."""
     bad = [float(v) for v in f.spectrum if v <= 0.0]
     if bad:
         raise DomainError(f"observable must be positive definite; eigenvalues {bad} are not")
     bound = TSIRELSON_BOUND * f.trace
     if not math.isfinite(bound):
         raise DomainError(f"observable_bound_check: 2 sqrt(2) Tr f overflows; Tr f = {f.trace!r}")
-    value = abs(bell_number(f, q.as_setting()))
-    return BoundCheck(value=value, bound=bound)
+    return verdict("observable_bound", abs(bell_number(f, q.as_setting())), bound, PSD_TOL)
 
 
-def separable_observable_check(
-    witness: SeparableDecomposition, q: UnitaryQuadruple
-) -> BoundCheck:
-    """Bound 2 Tr f for an observable carrying a separability witness.
+def separable_observable_check(witness: SeparableDecomposition, q: UnitaryQuadruple) -> dict:
+    """The ``separable_observable_bound`` verdict, within ``PSD_TOL``: bound 2 Tr f
+    for an observable carrying a separability witness.
 
     The argument must be the witnessed construction itself, not a bare
     matrix: separability is certified by construction, never decided here.
@@ -144,4 +125,4 @@ def separable_observable_check(
         )
     # Not validated: the weight sum may miss 1 by more than TRACE_TOL.
     value = abs(bell_number(witness.matrix(), q.as_setting()))
-    return BoundCheck(value=value, bound=2.0 * sum(witness.weights))
+    return verdict("separable_observable_bound", value, 2.0 * sum(witness.weights), PSD_TOL)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, HermitianMatrix, require_square
+from .density import DensityMatrix, HermitianMatrix, require_square, verdict
 from .tomography import EulerAngles
 
 SEPARABLE_BOUND = 2.0
@@ -214,17 +214,24 @@ def maximize_bell(rho: DensityMatrix, restarts: int = 8, seed: int = 0) -> BellR
     )
 
 
+def bound_verdicts(value: float) -> list:
+    """The ``separable_bound`` and ``tsirelson_bound`` verdicts of |``value``|,
+    each holding when bound - |B| is at least minus :data:`CLASSIFY_TOL`."""
+    v = abs(value)
+    return [verdict("separable_bound", v, SEPARABLE_BOUND, CLASSIFY_TOL),
+            verdict("tsirelson_bound", v, TSIRELSON_BOUND, CLASSIFY_TOL)]
+
+
 def classify(report) -> BellClass:
     """Place a :class:`BellReport`, or a bare Bell value, relative to the
-    separable and universal bounds.
+    separable and universal bounds, as :func:`bound_verdicts` decides them.
 
-    A bound holds when its slack, bound - |B|, is at least minus :data:`CLASSIFY_TOL`.
     Exceeding 2 sqrt(2) beyond tolerance is impossible for a valid density
     matrix and therefore flags a numerical or input defect.
     """
-    v = abs(getattr(report, "value", report))
-    if SEPARABLE_BOUND - v >= -CLASSIFY_TOL:
+    separable, tsirelson = bound_verdicts(getattr(report, "value", report))
+    if separable["holds"]:
         return BellClass.WITHIN_SEPARABLE_BOUND
-    if TSIRELSON_BOUND - v >= -CLASSIFY_TOL:
+    if tsirelson["holds"]:
         return BellClass.HIDDEN_BELL_CORRELATION
     return BellClass.TSIRELSON_VIOLATION_ERROR

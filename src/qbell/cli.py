@@ -11,9 +11,11 @@ handler returns the report body, and :func:`main` wraps it in the envelope
 and decides the exit code. ``bell``, ``bell-max`` and ``appendix`` share one
 Bell stage, :func:`_bell_stage`: the setting from ``--angles``, or from the
 optimizer without them, one Bell number there, and its verdicts.
-Every verdict comes from :func:`_verdict`, with keys in the order check_name,
-value, bound, margin, holds, slack. A defect check's tolerance is its bound, with
-margin 0; a physical bound carries the numerical margin of the code that owns it.
+Every verdict comes from :func:`qbell.density.verdict`, with keys in the order
+check_name, value, bound, margin, holds, slack. ``check`` and ``tomogram`` build
+theirs here: a defect check's tolerance is its bound, with margin 0. A physical
+bound is decided, with its numerical margin, by the module that defines it, and
+printed as it comes back.
 Reports are emitted on stdout with a fixed key order (command, input_label,
 verdicts, seed, optimizer, result, wall_time_ms) by ``json.dumps``:
 every float prints in Python's shortest round-trip form and parses back to the
@@ -126,15 +128,12 @@ def parse_matrix(path: str):
     return mat, (label if label is not None else path)
 
 
-def matrix_to_file_dict(mat: np.ndarray, label=None) -> dict:
-    out = {
+def matrix_to_file_dict(mat: np.ndarray) -> dict:
+    return {
         "dim": int(mat.shape[0]),
         "re": [[float(v) for v in row] for row in mat.real],
         "im": [[float(v) for v in row] for row in mat.imag],
     }
-    if label is not None:
-        out["label"] = label
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +152,6 @@ def _load(args):
     return data, label
 
 
-def _verdict(check_name: str, value: float, bound: float, margin: float, lower=False) -> dict:
-    """The one verdict rule: the slack is bound - value (value - bound for a lower
-    bound), and the verdict holds when the slack is at least -``margin``."""
-    slack = value - bound if lower else bound - value
-    return {"check_name": check_name, "value": float(value), "bound": float(bound),
-            "margin": float(margin), "holds": bool(slack >= -margin), "slack": float(slack)}
-
-
 def _angles_dict(a: tomography.EulerAngles) -> dict:
     return {"phi": a.phi, "theta": a.theta}
 
@@ -177,9 +168,9 @@ def cmd_check(rho, args):
     tr_dev = abs(complex(np.trace(rho.mat)) - 1.0)
     min_eig = float(rho.spectrum[0])
     verdicts = [
-        _verdict("hermiticity", herm, density.HERM_TOL, 0.0),
-        _verdict("trace_normalization", tr_dev, density.TRACE_TOL, 0.0),
-        _verdict("positivity", min_eig, -density.PSD_TOL, 0.0, lower=True),
+        density.verdict("hermiticity", herm, density.HERM_TOL, 0.0),
+        density.verdict("trace_normalization", tr_dev, density.TRACE_TOL, 0.0),
+        density.verdict("positivity", min_eig, -density.PSD_TOL, 0.0, lower=True),
     ]
     result = {"dim": rho.dim, "spectrum": [float(v) for v in rho.spectrum]}
     return {"verdicts": verdicts, "result": result}
@@ -188,11 +179,6 @@ def cmd_check(rho, args):
 def cmd_entropy(rho, args):
     n, m = args.partition
     rep = entropy.check_subadditivity(rho, channels.BlockPartition(n, m))
-    verdicts = [
-        _verdict("subadditivity", rep.s_joint, rep.s_first + rep.s_second, rep.margin),
-        _verdict("araki_lieb", rep.s_joint, abs(rep.s_first - rep.s_second), rep.margin,
-                 lower=True),
-    ]
     result = {
         "partition": {"n": n, "m": m},
         "s_joint": rep.s_joint,
@@ -200,7 +186,7 @@ def cmd_entropy(rho, args):
         "s_second": rep.s_second,
         "mutual_information": rep.mutual_information,
     }
-    return {"verdicts": verdicts, "result": result}
+    return {"verdicts": rep.verdicts, "result": result}
 
 
 def cmd_tomogram(rho, args):
@@ -208,7 +194,8 @@ def cmd_tomogram(rho, args):
     probs = tomography.joint_tomogram(
         rho, tomography.EulerAngles(phi1, th1), tomography.EulerAngles(phi2, th2)
     )
-    verdicts = [_verdict("normalization", abs(float(np.sum(probs)) - 1.0), density.PSD_TOL, 0.0)]
+    verdicts = [density.verdict("normalization", abs(float(np.sum(probs)) - 1.0),
+                                density.PSD_TOL, 0.0)]
     result = {
         "angles": {"first": {"phi": phi1, "theta": th1},
                    "second": {"phi": phi2, "theta": th2}},
@@ -232,8 +219,7 @@ def _bell_stage(rho, args, names=("separable_bound", "tsirelson_bound")):
         body.update(seed=args.seed,
                     optimizer={**dataclasses.asdict(opt.stats), "step_tol": bl.STEP_TOL})
     b = bl.bell_number(rho, setting)
-    bounds = {"separable_bound": bl.SEPARABLE_BOUND, "tsirelson_bound": bl.TSIRELSON_BOUND}
-    body["verdicts"] = [_verdict(n, abs(b), bounds[n], bl.CLASSIFY_TOL) for n in names]
+    body["verdicts"] = [v for v in bl.bound_verdicts(b) if v["check_name"] in names]
     return setting, b, body
 
 
@@ -249,8 +235,7 @@ def cmd_appendix(f, args):
     setting, b, body = _bell_stage(rho, args, ("tsirelson_bound",))
     quad = apx.UnitaryQuadruple(u1=setting.a, u2=setting.d, u3=setting.b, u4=setting.c)
     if float(f.spectrum[0]) > 0.0:
-        chk = apx.observable_bound_check(f, quad)
-        body["verdicts"].append(_verdict("observable_bound", chk.value, chk.bound, chk.margin))
+        body["verdicts"].append(apx.observable_bound_check(f, quad))
     body["result"] = {
         "x": float(args.x),
         "min_admissible_x": apx.min_admissible_x(f),

@@ -1,4 +1,4 @@
-"""Validated density matrices, embeddings and samplers."""
+"""The verdict rule, validated density matrices, embeddings and samplers."""
 
 from __future__ import annotations
 
@@ -20,6 +20,14 @@ PSD_TOL = 1e-9
 # weight. Not derived from PSD_TOL: a clamp that wide would move raw tomograms
 # past the benchmark oracles' PROB_TOL (bench/workloads.py).
 CLAMP_TOL = 1e-12
+
+
+def verdict(check_name: str, value: float, bound: float, margin: float, lower=False) -> dict:
+    """The one verdict rule: the slack is bound - value (value - bound for a lower
+    bound), and the verdict holds when the slack is at least -``margin``."""
+    slack = value - bound if lower else bound - value
+    return {"check_name": check_name, "value": float(value), "bound": float(bound),
+            "margin": float(margin), "holds": bool(slack >= -margin), "slack": float(slack)}
 
 
 class HermitianMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import BlockPartition, block_trace_first, block_trace_second
-from .density import CLAMP_TOL, HERM_TOL, PSD_TOL, DensityMatrix
+from .density import CLAMP_TOL, HERM_TOL, PSD_TOL, DensityMatrix, verdict
 
 
 # The relative entropy of distributions with disjoint support.
@@ -35,8 +35,9 @@ def von_neumann(rho: DensityMatrix) -> float:
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Joint and reduced entropies plus both inequality verdicts (nats), and
-    the margin by which a slack may read below zero and still hold."""
+    """Joint and reduced entropies (nats), the ``subadditivity`` and
+    ``araki_lieb`` verdicts, the flags and slacks read from them, and the
+    margin by which a slack may read below zero and still hold."""
 
     s_joint: float
     s_first: float
@@ -47,6 +48,7 @@ class EntropyReport:
     slack_sub: float
     slack_al: float
     margin: float
+    verdicts: list
 
 
 def _entropy_margin(rho: DensityMatrix) -> float:
@@ -69,19 +71,20 @@ def check_subadditivity(rho: DensityMatrix, p: BlockPartition) -> EntropyReport:
     s_joint = von_neumann(rho)
     s_first = von_neumann(block_trace_first(rho, p))
     s_second = von_neumann(block_trace_second(rho, p))
-    mutual = s_first + s_second - s_joint
-    slack_al = s_joint - abs(s_first - s_second)
     margin = _entropy_margin(rho)
+    sub = verdict("subadditivity", s_joint, s_first + s_second, margin)
+    al = verdict("araki_lieb", s_joint, abs(s_first - s_second), margin, lower=True)
     return EntropyReport(
         s_joint=s_joint,
         s_first=s_first,
         s_second=s_second,
-        mutual_information=mutual,
-        subadditivity_holds=mutual >= -margin,
-        araki_lieb_holds=slack_al >= -margin,
-        slack_sub=mutual,
-        slack_al=slack_al,
+        mutual_information=sub["slack"],
+        subadditivity_holds=sub["holds"],
+        araki_lieb_holds=al["holds"],
+        slack_sub=sub["slack"],
+        slack_al=al["slack"],
         margin=margin,
+        verdicts=[sub, al],
     )
 
 

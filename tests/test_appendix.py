@@ -339,9 +339,9 @@ def test_value_respects_universal_ceiling():
 
 def test_observable_bound_identity_case():
     chk = observable_bound_check(ObservableMatrix(np.eye(4)), CHSH_OPTIMAL_QUAD)
-    assert chk.value <= 1e-12
-    assert abs(chk.bound - TSIRELSON_BOUND * 4.0) <= 1e-12
-    assert chk.holds
+    assert chk["value"] <= 1e-12
+    assert abs(chk["bound"] - TSIRELSON_BOUND * 4.0) <= 1e-12
+    assert chk["holds"]
 
 
 def test_observable_bound_scales_linearly_with_density_matrices():
@@ -353,7 +353,7 @@ def test_observable_bound_scales_linearly_with_density_matrices():
         q = _random_quad(rng)
         chk = observable_bound_check(f, q)
         s = BellSetting(a=q.u1, d=q.u2, b=q.u3, c=q.u4)
-        assert abs(chk.value - c * abs(bell_number(rho, s))) <= 1e-10
+        assert abs(chk["value"] - c * abs(bell_number(rho, s))) <= 1e-10
 
 
 def test_observable_bound_holds_for_positive_definite_inputs():
@@ -362,7 +362,7 @@ def test_observable_bound_holds_for_positive_definite_inputs():
         h = random_hermitian(rng, 4)
         shift = abs(np.linalg.eigvalsh(h)[0]) + rng.uniform(0.1, 1.0)
         f = ObservableMatrix(h + shift * np.eye(4))
-        assert observable_bound_check(f, _random_quad(rng)).holds
+        assert observable_bound_check(f, _random_quad(rng))["holds"]
 
 
 def test_observable_checks_match_the_rotated_diagonal_form():
@@ -372,10 +372,10 @@ def test_observable_checks_match_the_rotated_diagonal_form():
         f = ObservableMatrix(h + (abs(np.linalg.eigvalsh(h)[0]) + 0.1) * np.eye(4))
         q = _random_quad(rng)
         want = observable_bell_value(f.mat, q)
-        assert abs(observable_bound_check(f, q).value - want) <= 1e-12 * max(1.0, want)
+        assert abs(observable_bound_check(f, q)["value"] - want) <= 1e-12 * max(1.0, want)
         witness = random_separable(seed, 1 + seed % 4)
         want = observable_bell_value(witness.matrix(), q)
-        assert abs(separable_observable_check(witness, q).value - want) <= 1e-12 * max(1.0, want)
+        assert abs(separable_observable_check(witness, q)["value"] - want) <= 1e-12 * max(1.0, want)
 
 
 def test_separable_observable_accepts_weights_within_the_witness_tolerance():
@@ -387,8 +387,8 @@ def test_separable_observable_accepts_weights_within_the_witness_tolerance():
     q = _random_quad(rng)
     want = observable_bell_value(witness.matrix(), q)
     chk = separable_observable_check(witness, q)
-    assert abs(chk.value - want) <= 1e-12 * max(1.0, want)
-    assert chk.holds
+    assert abs(chk["value"] - want) <= 1e-12 * max(1.0, want)
+    assert chk["holds"]
 
 
 @pytest.mark.parametrize("excess", [9.9e-10, -9.9e-10])
@@ -399,9 +399,9 @@ def test_separable_observable_bound_is_twice_the_weight_sum(excess):
     p = np.diag([1.0, 0.0]).astype(complex)
     witness = SeparableDecomposition((0.5, 0.5 + excess), (p, p), (p, p))
     chk = separable_observable_check(witness, IDENTITY_QUAD)
-    assert chk.bound == 2.0 * sum(witness.weights)
-    assert abs(chk.value - chk.bound) <= 1e-15
-    assert chk.holds
+    assert chk["bound"] == 2.0 * sum(witness.weights)
+    assert abs(chk["value"] - chk["bound"]) <= 1e-15
+    assert chk["holds"]
 
 
 def test_observable_bound_rejects_an_overflowing_trace_without_warnings():
@@ -422,8 +422,8 @@ def test_separable_observable_single_term_reaches_two():
     p = np.diag([1.0, 0.0]).astype(complex)
     witness = SeparableDecomposition((1.0,), (p,), (p,))
     chk = separable_observable_check(witness, IDENTITY_QUAD)
-    assert abs(chk.value - 2.0) <= 1e-12
-    assert chk.holds
+    assert abs(chk["value"] - 2.0) <= 1e-12
+    assert chk["holds"]
 
 
 def test_separable_observable_bound_holds_on_random_witnesses():
@@ -431,8 +431,8 @@ def test_separable_observable_bound_holds_on_random_witnesses():
     for seed in range(300):
         witness = random_separable(seed, 1 + seed % 4)
         chk = separable_observable_check(witness, _random_quad(rng))
-        assert chk.value <= 2.0 + 1e-9
-        assert chk.holds
+        assert chk["value"] <= 2.0 + 1e-9
+        assert chk["holds"]
 
 
 def test_separable_observable_requires_a_witness():

@@ -13,6 +13,7 @@ from qbell.bell import (
     BellSetting,
     OptimizerStats,
     bell_number,
+    bound_verdicts,
     classify,
     correlation_tensor,
     maximize_bell,
@@ -230,5 +231,8 @@ def test_classify_decides_each_bound_exactly_at_its_tolerance(bound, inside, bey
     # bound - |B| is exact near the bound, so a slack of exactly -CLASSIFY_TOL
     # holds; fl(bound + CLASSIFY_TOL) lies 1.4e-16 beyond that and does not.
     edge = bound + CLASSIFY_TOL
-    assert classify(edge) is beyond
-    assert classify(np.nextafter(edge, 0.0)) is inside
+    for value, cls in ((edge, beyond), (np.nextafter(edge, 0.0), inside)):
+        assert classify(value) is cls
+        holds = {v["check_name"]: v["holds"] for v in bound_verdicts(value)}
+        assert holds == {"separable_bound": cls is BellClass.WITHIN_SEPARABLE_BOUND,
+                         "tsirelson_bound": cls is not BellClass.TSIRELSON_VIOLATION_ERROR}

@@ -185,7 +185,7 @@ def test_entropy_on_entangled_projector(tmp_path, capsys):
 
 def test_entropy_prints_the_margin_in_force(tmp_path, capsys):
     state = np.diag([1 / 9, 8 / 9 + 1e-9, -1e-9, 0.0]).astype(complex)
-    path = _write(tmp_path, "edge.json", matrix_to_file_dict(state, label="edge"))
+    path = _write(tmp_path, "edge.json", {**matrix_to_file_dict(state), "label": "edge"})
     code, rep = _run(capsys, ["entropy", path, "--partition", "2", "2"])
     assert code == 0
     sub, al = rep["verdicts"]
@@ -205,7 +205,7 @@ def test_entropy_rejects_bad_partition(tmp_path, capsys):
 @pytest.mark.parametrize("state", [EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, EDGE_TRACE],
                          ids=["negative-block", "skew-blocks", "trace"])
 def test_entropy_accepts_edge_states(tmp_path, capsys, state):
-    path = _write(tmp_path, "edge.json", matrix_to_file_dict(state, label="edge"))
+    path = _write(tmp_path, "edge.json", {**matrix_to_file_dict(state), "label": "edge"})
     code, rep = _run(capsys, ["entropy", path, "--partition", "2", "2"])
     assert code == 0
     assert all(v["holds"] for v in rep["verdicts"])
@@ -367,7 +367,7 @@ def test_check_reports_the_defect_validate_compared(tmp_path, capsys):
     # A subnormal asymmetry is reported as it is, not as its rounded half.
     state = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     state[0, 1] = 5e-324
-    path = _write(tmp_path, "tiny.json", matrix_to_file_dict(state, label="tiny"))
+    path = _write(tmp_path, "tiny.json", {**matrix_to_file_dict(state), "label": "tiny"})
     code, rep = _run(capsys, ["check", path])
     assert code == 0
     assert rep["verdicts"][0]["value"] == density.hermitian_part(parse_matrix(path)[0])[1] == 5e-324
@@ -385,7 +385,7 @@ def test_check_reports_the_defect_validate_compared(tmp_path, capsys):
         "embed-qutrit-4x4", "tomogram-not-psd"])
 def test_a_4x4_subcommand_names_itself_for_another_dimension(tmp_path, capsys, command, options,
                                                               mat, want):
-    path = _write(tmp_path, "m.json", matrix_to_file_dict(mat.astype(complex), label="m"))
+    path = _write(tmp_path, "m.json", {**matrix_to_file_dict(mat.astype(complex)), "label": "m"})
     code = main([command, path, *options])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -407,7 +407,7 @@ def test_every_subcommand_rejects_an_invalid_matrix_of_its_dimension(tmp_path, c
                                                                       options, dim):
     mat = np.eye(dim, dtype=complex) / dim
     mat[0, 1] += 1e-3  # not Hermitian: neither a state nor an observable
-    path = _write(tmp_path, "bad.json", matrix_to_file_dict(mat, label="bad"))
+    path = _write(tmp_path, "bad.json", {**matrix_to_file_dict(mat), "label": "bad"})
     code = main([command, path, *options])
     captured = capsys.readouterr()
     kind = "observable" if command == "appendix" else "density matrix"
@@ -434,7 +434,7 @@ def _observable_file(tmp_path, which):
         g = np.random.default_rng(5).standard_normal((4, 8)).view(complex)
         m = -np.eye(4) + 1e-10 * (g + g.conj().T) / 2
         x = appendix.min_admissible_x(appendix.ObservableMatrix(m)) * (1 + 1e-12)
-    return _write(tmp_path, f"{which}.json", matrix_to_file_dict(m, label=which)), repr(x)
+    return _write(tmp_path, f"{which}.json", {**matrix_to_file_dict(m), "label": which}), repr(x)
 
 
 @pytest.mark.parametrize("which", ["small_scale", "near_scalar"])
@@ -454,8 +454,21 @@ def test_appendix_prints_the_margin_of_each_bound(tmp_path, capsys):
     path, x = _observable_file(tmp_path, "small_scale")
     _, rep = _run(capsys, ["appendix", path, "--x", x, "--angles", *angles])
     assert [(v["check_name"], v["margin"]) for v in rep["verdicts"]] == [
-        ("tsirelson_bound", 1e-6), ("observable_bound", appendix.BoundCheck.margin)]
-    assert appendix.BoundCheck.margin == density.PSD_TOL
+        ("tsirelson_bound", 1e-6), ("observable_bound", density.PSD_TOL)]
+
+
+def test_appendix_prints_the_verdict_of_observable_bound_check(tmp_path, capsys):
+    rng = np.random.default_rng(40)
+    g = rng.standard_normal((4, 8)).view(complex)
+    for m, x in ((np.diag([0.01, 0.02, 0.03, 0.04]), 0.05), (g @ g.conj().T + np.eye(4), 50.0)):
+        path = _write(tmp_path, "f.json", matrix_to_file_dict(m.astype(complex)))
+        angles = rng.uniform(0.0, 2.0 * math.pi, 8)
+        code, rep = _run(capsys, ["appendix", path, "--x", repr(x),
+                                  "--angles", *map(repr, angles.tolist())])
+        quad = appendix.UnitaryQuadruple(*(EulerAngles(*angles[k:k + 2]) for k in range(0, 8, 2)))
+        f = appendix.ObservableMatrix(parse_matrix(path)[0])
+        assert code == 0
+        assert rep["verdicts"][-1] == appendix.observable_bound_check(f, quad)
 
 
 @pytest.mark.parametrize("failing, want", [
@@ -555,7 +568,7 @@ def test_reports_round_trip_byte_identically(tmp_path, capsys, command):
 
 def test_cli_verdicts_agree_with_the_library_at_the_edges(tmp_path, capsys, monkeypatch):
     for state in (EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, EDGE_TRACE):
-        path = _write(tmp_path, "edge.json", matrix_to_file_dict(state, label="edge"))
+        path = _write(tmp_path, "edge.json", {**matrix_to_file_dict(state), "label": "edge"})
         _, rep = _run(capsys, ["entropy", path, "--partition", "2", "2"])
         lib = entropy.check_subadditivity(density.validate(state), channels.BlockPartition(2, 2))
         assert [v["margin"] for v in rep["verdicts"]] == [lib.margin] * 2
@@ -572,9 +585,22 @@ def test_cli_verdicts_agree_with_the_library_at_the_edges(tmp_path, capsys, monk
         assert (rep["result"]["classification"] == "within_separable_bound") is within
 
 
+@pytest.mark.parametrize("state", [EDGE_NEGATIVE_BLOCK, EDGE_SKEW_BLOCKS, EDGE_TRACE],
+                         ids=["negative-block", "skew-blocks", "trace"])
+def test_entropy_prints_the_verdicts_of_check_subadditivity(tmp_path, capsys, state):
+    path = _write(tmp_path, "edge.json", matrix_to_file_dict(state))
+    _, rep = _run(capsys, ["entropy", path, "--partition", "2", "2"])
+    lib = entropy.check_subadditivity(density.validate(state), channels.BlockPartition(2, 2))
+    assert rep["verdicts"] == lib.verdicts
+    sub, al = lib.verdicts
+    assert (lib.subadditivity_holds, lib.araki_lieb_holds) == (sub["holds"], al["holds"])
+    assert (lib.slack_sub, lib.slack_al) == (sub["slack"], al["slack"])
+    assert lib.mutual_information == sub["slack"]
+
+
 def test_matrix_file_dict_round_trip(tmp_path):
     mat = PHI_PLUS + 0j
-    doc = matrix_to_file_dict(mat, label="x")
+    doc = {**matrix_to_file_dict(mat), "label": "x"}
     path = tmp_path / "round.json"
     path.write_text(format_json(doc))
     back, label = parse_matrix(str(path))
