@@ -209,7 +209,7 @@ def _bell_stage(rho, args, names=("separable_bound", "tsirelson_bound")):
     """The setting ``--angles`` names, or else the one ``maximize_bell`` finds,
     the signed Bell number of ``rho`` there, and the report body the Bell
     subcommands share: verdicts on |B| within ``CLASSIFY_TOL``, and the seed and
-    optimizer statistics, with ``step_tol``, when the optimizer ran."""
+    optimizer method and statistics, with ``step_tol``, when the optimizer ran."""
     body = {"verdicts": []}  # report order
     if args.angles is not None:
         setting = bl.BellSetting.from_flat(args.angles)
@@ -217,7 +217,8 @@ def _bell_stage(rho, args, names=("separable_bound", "tsirelson_bound")):
         opt = bl.maximize_bell(rho, restarts=args.restarts, seed=args.seed)
         setting = opt.setting
         body.update(seed=args.seed,
-                    optimizer={**dataclasses.asdict(opt.stats), "step_tol": bl.STEP_TOL})
+                    optimizer={"method": bl.SEARCH_METHOD, **dataclasses.asdict(opt.stats),
+                               "step_tol": bl.STEP_TOL})
     b = bl.bell_number(rho, setting)
     body["verdicts"] = [v for v in bl.bound_verdicts(b) if v["check_name"] in names]
     return setting, b, body

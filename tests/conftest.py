@@ -31,6 +31,28 @@ PHI_PLUS = 0.5 * np.array(
 )
 
 
+def werner(p):
+    """p |phi+><phi+| + (1 - p) I/4, whose largest |B| is 2 sqrt(2) p."""
+    return p * PHI_PLUS + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+
+
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def chsh_maximum(rho):
+    """Oracle for the Bell optimizer: the largest |B| over all settings,
+    2 sqrt(s1^2 + s2^2) for the two largest singular values of the tensor
+    T[i, j] = Tr(rho sigma_i kron sigma_j) (Horodecki 1995)."""
+    m = getattr(rho, "mat", rho)
+    t = np.array([[np.trace(m @ np.kron(p, q)).real for q in _PAULIS] for p in _PAULIS])
+    s = np.linalg.svd(t, compute_uv=False)
+    return 2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2)
+
+
 def random_unitary(rng, n):
     """Haar-ish random unitary: QR of a complex Gaussian with phase fix."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -2,7 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import PHI_PLUS, SIGN_MATRIX, bell_number_sign_form, correlation
+from conftest import (
+    PHI_PLUS,
+    SIGN_MATRIX,
+    bell_number_sign_form,
+    chsh_maximum,
+    correlation,
+    random_unitary,
+    werner,
+)
 
 from qbell.bell import (
     CLASSIFY_TOL,
@@ -12,6 +20,9 @@ from qbell.bell import (
     BellReport,
     BellSetting,
     OptimizerStats,
+    _objective,
+    _receiver_angles,
+    _receiver_rows,
     bell_number,
     bound_verdicts,
     classify,
@@ -26,6 +37,11 @@ CHSH_OPTIMAL = [0, 0, 0, math.pi / 2, 0, math.pi / 4, 0, -math.pi / 4]
 
 def _random_setting(rng):
     return BellSetting.from_flat(rng.uniform(0, 2 * math.pi, 8))
+
+
+def _direction(phi, theta):
+    return np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                     math.cos(theta)])
 
 
 def test_sign_matrix_structure():
@@ -102,18 +118,7 @@ def test_correlation_tensor_reproduces_bell_number():
         rho = random_density(4, seed)
         t = correlation_tensor(rho)
         s = _random_setting(rng)
-
-        def direction(a):
-            return np.array(
-                [
-                    math.sin(a.theta) * math.cos(a.phi),
-                    math.sin(a.theta) * math.sin(a.phi),
-                    math.cos(a.theta),
-                ]
-            )
-
-        na, nd = direction(s.a), direction(s.d)
-        nb, nc = direction(s.b), direction(s.c)
+        na, nd, nb, nc = (_direction(u.phi, u.theta) for u in (s.a, s.d, s.b, s.c))
         via_tensor = na @ t @ (nb + nc) + nd @ t @ (nb - nc)
         assert abs(via_tensor - bell_number(rho, s)) <= 1e-12
 
@@ -139,7 +144,7 @@ def test_bell_number_is_2pi_periodic_in_each_angle():
 
 def test_maximize_finds_tsirelson_for_entangled_projector():
     rep = maximize_bell(validate(PHI_PLUS), restarts=8, seed=7)
-    assert rep.value >= 2 * math.sqrt(2) - 1e-6
+    assert rep.value >= 2 * math.sqrt(2) - 1e-12
     assert rep.stats.converged
     assert classify(rep) is BellClass.HIDDEN_BELL_CORRELATION
 
@@ -148,7 +153,7 @@ def test_maximize_respects_separable_bound():
     for seed in range(20):
         rho = separable_sample(seed, 1 + seed % 5)
         rep = maximize_bell(rho, restarts=8, seed=seed)
-        assert rep.value <= SEPARABLE_BOUND + 1e-6
+        assert rep.value <= SEPARABLE_BOUND + 1e-12
 
 
 def test_maximize_on_embedded_qutrits_stays_below_ceiling():
@@ -181,6 +186,78 @@ def test_maximize_is_monotone_in_restarts():
     low = maximize_bell(rho, restarts=2, seed=5)
     high = maximize_bell(rho, restarts=8, seed=5)
     assert high.value >= low.value
+
+
+_FAMILIES = {
+    "random": [random_density(4, seed) for seed in range(15)],
+    "separable": [separable_sample(seed, 1 + seed % 5) for seed in range(15)],
+    "embedded_qutrit": [embed_qutrit(random_density(3, seed)) for seed in range(15)],
+    "werner": [validate(werner(p)) for p in np.linspace(0.0, 1.0, 11)],
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_maximize_attains_the_svd_maximum(family):
+    for k, rho in enumerate(_FAMILIES[family]):
+        rep = maximize_bell(rho, restarts=8, seed=k)
+        assert abs(rep.value - chsh_maximum(rho)) <= 1e-12
+        assert rep.stats.converged
+
+
+def test_maximize_is_at_least_the_value_of_every_random_setting():
+    rng = np.random.default_rng(8)
+    for seed in range(10):
+        rho = random_density(4, 100 + seed)
+        best = maximize_bell(rho, restarts=8, seed=seed).value
+        fn = _objective(correlation_tensor(rho))
+        for x in rng.uniform(0, 2 * math.pi, (1000, 8)).tolist():
+            assert abs(fn(x)) <= best
+
+
+def _bell_diagonal_with_equal_lower_singular_values():
+    # 0.6 phi+ + 0.2 phi- + 0.1 psi+ + 0.1 psi- has T = diag(0.4, -0.4, 0.6),
+    # so s2 = s3 = 0.4; a random local unitary makes T non-diagonal.
+    bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2)
+    m = sum(w * np.outer(v, v) for w, v in zip((0.6, 0.2, 0.1, 0.1), bell))
+    rng = np.random.default_rng(9)
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    return u @ m @ u.conj().T
+
+
+@pytest.mark.parametrize("mat, want", [
+    (np.eye(4) / 4, 0.0),  # T = 0: both receiver vectors vanish
+    (np.diag([1.0, 0.0, 0.0, 0.0]), 2.0),
+    (werner(0.3), 2 * math.sqrt(2) * 0.3),
+    (werner(0.8), 2 * math.sqrt(2) * 0.8),
+    (_bell_diagonal_with_equal_lower_singular_values(), 2 * math.sqrt(0.6 ** 2 + 0.4 ** 2)),
+], ids=["maximally_mixed", "product", "werner_0.3", "werner_0.8", "equal_s2_s3"])
+def test_maximize_on_degenerate_correlation_tensors(mat, want):
+    rho = validate(mat)
+    rep = maximize_bell(rho, restarts=8, seed=4)
+    assert abs(rep.value - want) <= 1e-12
+    assert rep.value == abs(bell_number(rho, rep.setting))
+    assert rep.stats.converged
+    assert all(math.isfinite(v) for v in rep.setting.to_flat())
+
+
+def test_receiver_step_attains_the_sum_of_the_receiver_vector_lengths():
+    rng = np.random.default_rng(10)
+    for seed in range(20):
+        t = correlation_tensor(random_density(4, seed))
+        fn, rows = _objective(t), _receiver_rows(t)
+        y = rng.uniform(0, 2 * math.pi, 4).tolist()
+        if seed % 5 == 0:
+            y[2:] = y[:2]  # a = d: T^T (a - d) is exactly zero
+        a, d = _direction(*y[:2]), _direction(*y[2:])
+        u, v = rows(y)
+        assert np.allclose(u, t.T @ (a + d), rtol=0.0, atol=1e-12)
+        assert np.allclose(v, t.T @ (a - d), rtol=0.0, atol=1e-12)
+        total = np.linalg.norm(t.T @ (a + d)) + np.linalg.norm(t.T @ (a - d))
+        receivers = _receiver_angles(rows, y)
+        assert all(math.isfinite(r) for r in receivers)
+        assert abs(fn(y + receivers) - total) <= 1e-12
+        for bc in rng.uniform(0, 2 * math.pi, (1000, 4)).tolist():
+            assert abs(fn(y + bc)) <= total + 1e-12
 
 
 def test_maximize_rejects_bad_restarts():

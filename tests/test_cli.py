@@ -245,7 +245,9 @@ def test_bell_max_finds_the_optimum(tmp_path, capsys):
     assert rep["result"]["classification"] == "hidden_bell_correlation"
     assert [v["margin"] for v in rep["verdicts"]] == [bell.CLASSIFY_TOL] * 2
     assert rep["seed"] == 7
-    assert list(rep["optimizer"]) == ["restarts", "evaluations", "converged", "step_tol"]
+    assert list(rep["optimizer"]) == ["method", "restarts", "evaluations", "converged",
+                                      "step_tol"]
+    assert rep["optimizer"]["method"] == "sender_pattern_search_receiver_closed_form"
     assert rep["optimizer"]["restarts"] == 16
     assert rep["optimizer"]["converged"] is True
     assert rep["optimizer"]["step_tol"] == bell.STEP_TOL
