@@ -6,9 +6,10 @@ Any Hermitian f can be shifted and scaled into a valid density matrix
 
 whose tomograms under four product rotations form a row-stochastic matrix.
 Contracting that matrix against the CHSH sign pattern gives the Bell number
-of rho(x), evaluated here through the correlation tensor, and is bounded by
-2 sqrt(2); for positive-definite f the same contraction applied to f itself
-is bounded by 2 sqrt(2) Tr f, and by 2 Tr f when f carries a separability witness.
+of rho(x), read here as the Bell number of f + x I over its trace, and is
+bounded by 2 sqrt(2); for positive-definite f the same contraction applied to
+f itself is bounded by 2 sqrt(2) Tr f, and by 2 Tr f when f carries a
+separability witness.
 """
 
 from __future__ import annotations
@@ -68,14 +69,9 @@ def min_admissible_x(f: ObservableMatrix) -> float:
     return float(max(abs(f.spectrum[0]), abs(f.spectrum[-1])))  # ascending spectrum
 
 
-def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
-    """Density matrix (f + x I) / Tr(f + x I); requires x > max |f_j| strictly,
-    with Tr(f + x I) finite.
-
-    The spectrum of the result is (f_j + x) / Tr(f + x I) in exact arithmetic,
-    read here from f + x I, which stays accurate where f_j + x cancels. A
-    shifted matrix that ``validate`` rejects raises :class:`DomainError` naming ``x``.
-    """
+def _shifted_trace(f: ObservableMatrix, x: float) -> float:
+    """Tr(f + x I), summed from the shifted diagonal, once ``x`` is in the domain:
+    x > max |f_j| strictly, with the trace finite. Else :class:`DomainError`."""
     x_min = min_admissible_x(f)
     if not x > x_min:
         raise DomainError(
@@ -86,6 +82,18 @@ def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
     trace = _trace(f.mat, x)  # no f_jj + x is -inf, so a finite trace has finite terms
     if not math.isfinite(trace):
         raise DomainError(f"x must be small enough that Tr(f + x I) is finite; got {x!r}")
+    return trace
+
+
+def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
+    """Density matrix (f + x I) / Tr(f + x I); requires x > max |f_j| strictly,
+    with Tr(f + x I) finite.
+
+    The spectrum of the result is (f_j + x) / Tr(f + x I) in exact arithmetic,
+    read here from f + x I, which stays accurate where f_j + x cancels. A
+    shifted matrix that ``validate`` rejects raises :class:`DomainError` naming ``x``.
+    """
+    trace = _shifted_trace(f, x)
     try:
         return validate((f.mat + x * _IDENTITY_4) / trace)
     except QbellError as e:
@@ -94,8 +102,11 @@ def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
 
 def appendix_bell_value(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> float:
     """|Bell number| of rho(x) at the setting a=u1, d=u2, b=u3, c=u4: the
-    sign-pattern contraction of the appendix's stochastic matrix."""
-    return abs(bell_number(rho_of_x(f, x), q.as_setting()))
+    sign-pattern contraction of the appendix's stochastic matrix. The identity
+    has no correlation tensor, so it is |B(f + x I, q)| / Tr(f + x I), read with
+    the domain checks of :func:`rho_of_x` but without building rho(x)."""
+    trace = _shifted_trace(f, x)
+    return abs(bell_number(f.mat + x * _IDENTITY_4, q.as_setting())) / trace
 
 
 def observable_bound_check(f: ObservableMatrix, q: UnitaryQuadruple) -> dict:

@@ -10,16 +10,20 @@ correlation tensor T (Horodecki, Phys. Lett. A 200, 340 (1995)). Separable
 matrices satisfy |B| <= 2; every valid density matrix satisfies the
 universal ceiling |B| <= 2 sqrt(2).
 
-Since B = b . T^T (a + d) + c . T^T (a - d), the largest |B| for fixed a and d
-is |T^T (a + d)| + |T^T (a - d)|, at b and c along those vectors. The
-maximization searches the four angles of a and d for that sum and sets b and
-c in closed form.
+The one evaluator, :func:`bell_number`, writes the form as
+B = b . u + c . v with the receiver vectors u = T^T (a + d) and
+v = T^T (a - d) of :func:`_receiver_rows`. For fixed a and d the largest |B|
+is |u| + |v|, at b and c along those vectors, so the maximization searches
+the four angles of a and d for that sum, sets b and c in closed form, and
+reports the setting's value through :func:`bell_number`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +109,18 @@ class BellReport:
 
 
 def bell_number(rho, setting: BellSetting) -> float:
-    """Signed Bell number of a 4x4 state at ``setting``.
+    """Signed Bell number b . u + c . v of a 4x4 state at ``setting``, with the
+    receiver vectors (u, v) of :func:`_receiver_rows` for its directions a, d.
 
     Linear in the matrix, so it also accepts any 4x4 matrix, such as an
     observable, read through :func:`correlation_tensor`.
     """
-    return _objective(correlation_tensor(rho))(setting.to_flat())
+    x = setting.to_flat()  # [phi_a, th_a, phi_d, th_d, phi_b, th_b, phi_c, th_c]
+    u, v = _receiver_rows(correlation_tensor(rho))(x[:4])
+    sb, sc = math.sin(x[5]), math.sin(x[7])
+    b = (sb * math.cos(x[4]), sb * math.sin(x[4]), math.cos(x[5]))
+    c = (sc * math.cos(x[6]), sc * math.sin(x[6]), math.cos(x[7]))
+    return (b[0] * u[0] + b[1] * u[1] + b[2] * u[2]) + (c[0] * v[0] + c[1] * v[1] + c[2] * v[2])
 
 
 def correlation_tensor(rho) -> np.ndarray:
@@ -123,34 +133,6 @@ def correlation_tensor(rho) -> np.ndarray:
     if m.shape[0] != 4:
         raise ValueError(f"correlation tensor needs a 4x4 state, got dim {m.shape[0]}")
     return np.einsum("ijkl,lk->ij", _PAULI_KRON, m).real
-
-
-def _objective(t: np.ndarray):
-    """Signed Bell number as a function of the eight flat angles, for tensor t."""
-    t00, t01, t02 = (float(v) for v in t[0])
-    t10, t11, t12 = (float(v) for v in t[1])
-    t20, t21, t22 = (float(v) for v in t[2])
-
-    def value(x, sin=math.sin, cos=math.cos):
-        # x = [phi_a, th_a, phi_d, th_d, phi_b, th_b, phi_c, th_c]
-        sa = sin(x[1]); ax, ay, az = sa * cos(x[0]), sa * sin(x[0]), cos(x[1])
-        sd = sin(x[3]); dx, dy, dz = sd * cos(x[2]), sd * sin(x[2]), cos(x[3])
-        sb = sin(x[5]); bx, by, bz = sb * cos(x[4]), sb * sin(x[4]), cos(x[5])
-        sc = sin(x[7]); cx, cy, cz = sc * cos(x[6]), sc * sin(x[6]), cos(x[7])
-        # rows of T applied to a and d
-        ra0 = ax * t00 + ay * t10 + az * t20
-        ra1 = ax * t01 + ay * t11 + az * t21
-        ra2 = ax * t02 + ay * t12 + az * t22
-        rd0 = dx * t00 + dy * t10 + dz * t20
-        rd1 = dx * t01 + dy * t11 + dz * t21
-        rd2 = dx * t02 + dy * t12 + dz * t22
-        b = (
-            ra0 * (bx + cx) + ra1 * (by + cy) + ra2 * (bz + cz)
-            + rd0 * (bx - cx) + rd1 * (by - cy) + rd2 * (bz - cz)
-        )
-        return b
-
-    return value
 
 
 def _pattern_search(fn, x0):
@@ -190,9 +172,7 @@ def _pattern_search(fn, x0):
 def _receiver_rows(t: np.ndarray):
     """The receiver vectors T^T (a + d) and T^T (a - d) as a function of the
     four sender angles [phi_a, th_a, phi_d, th_d], for tensor t."""
-    t00, t01, t02 = (float(v) for v in t[0])
-    t10, t11, t12 = (float(v) for v in t[1])
-    t20, t21, t22 = (float(v) for v in t[2])
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t.tolist()
 
     def rows(y, sin=math.sin, cos=math.cos):
         sa = sin(y[1]); ax, ay, az = sa * cos(y[0]), sa * sin(y[0]), cos(y[1])
@@ -220,43 +200,42 @@ def _receiver_angles(rows, y):
 def maximize_bell(rho: DensityMatrix, restarts: int = 8, seed: int = 0) -> BellReport:
     """Search measurement settings maximizing |B| for a fixed state.
 
-    Runs ``restarts`` independent pattern searches over the four sender
-    angles of a and d from seeded uniform random angles, each shrinking its
-    step from pi/4 until :data:`STEP_TOL` within :data:`MAX_EVALS` evaluations
-    of |T^T (a + d)| + |T^T (a - d)|. The receiver directions b and c are not
-    searched: for each restart they are set in closed form along T^T (a + d)
-    and T^T (a - d), where B attains that sum. The per-restart random streams
-    depend only on (seed, restart index), so results are reproducible and
-    monotone in the number of restarts; ties keep the lowest restart index.
-    The reported value is ``abs(bell_number(rho, setting))`` bit for bit.
+    Runs ``restarts`` pattern searches over the four sender angles of a and d,
+    each shrinking its step from pi/4 until :data:`STEP_TOL` within
+    :data:`MAX_EVALS` evaluations of |T^T (a + d)| + |T^T (a - d)|. The
+    receiver directions b and c are not searched: for each restart they are
+    set in closed form along T^T (a + d) and T^T (a - d), where B attains that
+    sum. The start angles are 2 pi times draws from one ``random.Random(seed)``,
+    four per restart in restart order, so a run repeats every run with fewer
+    restarts first: results are reproducible and monotone in the number of
+    restarts; ties keep the lowest restart index. Each restart's value is
+    ``abs(bell_number(rho, setting))``, so the reported one is that bit for bit.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    t = correlation_tensor(rho)
-    fn, rows = _objective(t), _receiver_rows(t)
+    rows = _receiver_rows(correlation_tensor(rho))
 
     def sender_value(y, hypot=math.hypot):
         u, v = rows(y)
         return hypot(*u) + hypot(*v)
 
-    best_val, best_x = -math.inf, None
+    rng = random.Random(operator.index(seed))  # it would also take a float or a str
+    best_val, best_setting = -math.inf, None
     total_evals, converged = 0, True
-    for k in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        y0 = rng.uniform(0.0, 2.0 * math.pi, 4).tolist()
+    for _ in range(restarts):
+        y0 = [2.0 * math.pi * rng.random() for _ in range(4)]
         _, y, evals, ok = _pattern_search(sender_value, y0)
         total_evals += evals
         converged = converged and ok
-        x = y + _receiver_angles(rows, y)
-        val = abs(fn(x))
+        setting = BellSetting.from_flat(y + _receiver_angles(rows, y))
+        val = abs(bell_number(rho, setting))
         if val > best_val:
-            best_val = val
-            best_x = x
+            best_val, best_setting = val, setting
     return BellReport(
         value=best_val,
-        setting=BellSetting.from_flat(best_x),
+        setting=best_setting,
         stats=OptimizerStats(restarts=restarts, evaluations=total_evals, converged=converged),
     )
 

@@ -10,7 +10,9 @@ or an observable. :func:`_load` checks the dimension, then validates; the
 handler returns the report body, and :func:`main` wraps it in the envelope
 and decides the exit code. ``bell``, ``bell-max`` and ``appendix`` share one
 Bell stage, :func:`_bell_stage`: the setting from ``--angles``, or from the
-optimizer without them, one Bell number there, and its verdicts.
+optimizer without them. Each then reads one Bell value there and decides its
+verdicts on it: ``bell_number`` of the state, or ``appendix_bell_value`` of
+the observable.
 Every verdict comes from :func:`qbell.density.verdict`, with keys in the order
 check_name, value, bound, margin, holds, slack. ``check`` and ``tomogram`` build
 theirs here: a defect check's tolerance is its bound, with margin 0. A physical
@@ -205,27 +207,24 @@ def cmd_tomogram(rho, args):
     return {"verdicts": verdicts, "result": result}
 
 
-def _bell_stage(rho, args, names=("separable_bound", "tsirelson_bound")):
-    """The setting ``--angles`` names, or else the one ``maximize_bell`` finds,
-    the signed Bell number of ``rho`` there, and the report body the Bell
-    subcommands share: verdicts on |B| within ``CLASSIFY_TOL``, and the seed and
+def _bell_stage(rho, args):
+    """The setting ``--angles`` names, or else the one ``maximize_bell`` finds
+    for ``rho``, and the report body the Bell subcommands share: the seed and
     optimizer method and statistics, with ``step_tol``, when the optimizer ran."""
     body = {"verdicts": []}  # report order
     if args.angles is not None:
-        setting = bl.BellSetting.from_flat(args.angles)
-    else:
-        opt = bl.maximize_bell(rho, restarts=args.restarts, seed=args.seed)
-        setting = opt.setting
-        body.update(seed=args.seed,
-                    optimizer={"method": bl.SEARCH_METHOD, **dataclasses.asdict(opt.stats),
-                               "step_tol": bl.STEP_TOL})
-    b = bl.bell_number(rho, setting)
-    body["verdicts"] = [v for v in bl.bound_verdicts(b) if v["check_name"] in names]
-    return setting, b, body
+        return bl.BellSetting.from_flat(args.angles), body
+    opt = bl.maximize_bell(rho, restarts=args.restarts, seed=args.seed)
+    body.update(seed=args.seed,
+                optimizer={"method": bl.SEARCH_METHOD, **dataclasses.asdict(opt.stats),
+                           "step_tol": bl.STEP_TOL})
+    return opt.setting, body
 
 
 def cmd_bell(rho, args):
-    setting, b, body = _bell_stage(rho, args)
+    setting, body = _bell_stage(rho, args)
+    b = bl.bell_number(rho, setting)
+    body["verdicts"] = bl.bound_verdicts(b)
     body["result"] = {"setting": _setting_dict(setting), "bell_number": b, "value": abs(b),
                       "classification": bl.classify(abs(b)).value}
     return body
@@ -233,15 +232,18 @@ def cmd_bell(rho, args):
 
 def cmd_appendix(f, args):
     rho = apx.rho_of_x(f, args.x)
-    setting, b, body = _bell_stage(rho, args, ("tsirelson_bound",))
+    setting, body = _bell_stage(rho, args)
     quad = apx.UnitaryQuadruple(u1=setting.a, u2=setting.d, u3=setting.b, u4=setting.c)
+    value = apx.appendix_bell_value(f, args.x, quad)
+    _, tsirelson = bl.bound_verdicts(value)
+    body["verdicts"] = [tsirelson]
     if float(f.spectrum[0]) > 0.0:
         body["verdicts"].append(apx.observable_bound_check(f, quad))
     body["result"] = {
         "x": float(args.x),
         "min_admissible_x": apx.min_admissible_x(f),
         "quadruple": {k: _angles_dict(getattr(quad, k)) for k in ("u1", "u2", "u3", "u4")},
-        "value": abs(b),
+        "value": value,
         "rho_x_spectrum": [float(v) for v in rho.spectrum],
     }
     return body

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from conftest import (
     stochastic_omega,
 )
 
+from qbell import appendix, density
 from qbell.appendix import (
     ObservableMatrix,
     UnitaryQuadruple,
@@ -245,6 +247,21 @@ def test_value_matches_bell_number_of_shifted_state():
     assert abs(val - 2 * math.sqrt(2) / 41) <= 1e-12
     b = bell_number(rho_of_x(f, x), CHSH_OPTIMAL_QUAD.as_setting())
     assert abs(val - abs(b)) <= 1e-12
+
+
+def test_value_builds_no_rho_of_x(monkeypatch):
+    # The value is read from f + x I: no rho(x) is built, validated or diagonalized.
+    f = ObservableMatrix(PHI_PLUS)
+    calls = []
+    monkeypatch.setattr(appendix, "rho_of_x", lambda *args: calls.append("rho_of_x"))
+    for name in ("validate", "hermitian_spectrum"):
+        original = getattr(density, name)
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "qbell"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, lambda *args, name=name, **kw: calls.append(name))
+    val = appendix_bell_value(f, 10.0, CHSH_OPTIMAL_QUAD)
+    assert calls == []
+    assert abs(val - 2 * math.sqrt(2) / 41) <= 1e-12
 
 
 def test_value_agrees_with_bell_module_on_random_inputs():

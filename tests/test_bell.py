@@ -20,7 +20,6 @@ from qbell.bell import (
     BellReport,
     BellSetting,
     OptimizerStats,
-    _objective,
     _receiver_angles,
     _receiver_rows,
     bell_number,
@@ -179,6 +178,9 @@ def test_maximize_is_deterministic():
     assert r1.value == r2.value
     assert r1.setting == r2.setting
     assert r1.stats == r2.stats
+    assert maximize_bell(rho, restarts=6, seed=np.int64(3)) == r1
+    with pytest.raises(TypeError):
+        maximize_bell(rho, restarts=6, seed=3.0)
 
 
 def test_maximize_is_monotone_in_restarts():
@@ -209,9 +211,8 @@ def test_maximize_is_at_least_the_value_of_every_random_setting():
     for seed in range(10):
         rho = random_density(4, 100 + seed)
         best = maximize_bell(rho, restarts=8, seed=seed).value
-        fn = _objective(correlation_tensor(rho))
         for x in rng.uniform(0, 2 * math.pi, (1000, 8)).tolist():
-            assert abs(fn(x)) <= best
+            assert abs(bell_number(rho, BellSetting.from_flat(x))) <= best
 
 
 def _bell_diagonal_with_equal_lower_singular_values():
@@ -243,8 +244,9 @@ def test_maximize_on_degenerate_correlation_tensors(mat, want):
 def test_receiver_step_attains_the_sum_of_the_receiver_vector_lengths():
     rng = np.random.default_rng(10)
     for seed in range(20):
-        t = correlation_tensor(random_density(4, seed))
-        fn, rows = _objective(t), _receiver_rows(t)
+        rho = random_density(4, seed)
+        t = correlation_tensor(rho)
+        rows = _receiver_rows(t)
         y = rng.uniform(0, 2 * math.pi, 4).tolist()
         if seed % 5 == 0:
             y[2:] = y[:2]  # a = d: T^T (a - d) is exactly zero
@@ -255,9 +257,9 @@ def test_receiver_step_attains_the_sum_of_the_receiver_vector_lengths():
         total = np.linalg.norm(t.T @ (a + d)) + np.linalg.norm(t.T @ (a - d))
         receivers = _receiver_angles(rows, y)
         assert all(math.isfinite(r) for r in receivers)
-        assert abs(fn(y + receivers) - total) <= 1e-12
+        assert abs(bell_number(rho, BellSetting.from_flat(y + receivers)) - total) <= 1e-12
         for bc in rng.uniform(0, 2 * math.pi, (1000, 4)).tolist():
-            assert abs(fn(y + bc)) <= total + 1e-12
+            assert abs(bell_number(rho, BellSetting.from_flat(y + bc))) <= total + 1e-12
 
 
 def test_maximize_rejects_bad_restarts():
@@ -266,7 +268,7 @@ def test_maximize_rejects_bad_restarts():
 
 
 def test_maximize_rejects_a_negative_seed():
-    # numpy's own message named neither the option nor the value.
+    # random.Random would seed from |seed| and repeat the run of seed 1.
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         maximize_bell(random_density(4, 0), seed=-1)
 

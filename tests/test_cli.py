@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 
@@ -363,6 +365,42 @@ def test_appendix_builds_and_validates_rho_of_x_once(tmp_path, capsys, monkeypat
     quad = appendix.UnitaryQuadruple(**{k: EulerAngles(**v) for k, v in quad.items()})
     f = appendix.ObservableMatrix(PHI_PLUS)
     assert rep["result"]["value"] == appendix.appendix_bell_value(f, 10.0, quad)
+
+
+@pytest.mark.parametrize("which", ["phi_plus", "small_scale"])
+def test_appendix_at_its_printed_quadruple_prints_the_same_value_and_verdicts(
+        tmp_path, capsys, which):
+    # Both paths read the value through appendix_bell_value at the same setting.
+    path, x = ((_phi_plus_file(tmp_path), "10") if which == "phi_plus"
+               else _observable_file(tmp_path, which))
+    code, searched = _run(capsys, ["appendix", path, "--x", x])
+    quad = searched["result"]["quadruple"]
+    angles = [repr(quad[u][k]) for u in ("u1", "u2", "u3", "u4") for k in ("phi", "theta")]
+    fixed_code, fixed = _run(capsys, ["appendix", path, "--x", x, "--angles", *angles])
+    assert code == fixed_code == 0
+    assert fixed["result"] == searched["result"]
+    assert fixed["verdicts"] == searched["verdicts"]
+    assert searched["verdicts"][0]["value"] == searched["result"]["value"]
+
+
+def test_bell_max_leaves_numpy_random_unimported(tmp_path):
+    # numpy.random costs about 6 MB and 19 ms to import. numpy >= 2 loads it on
+    # first use only; older numpy loads it with numpy, so compare with that.
+    script = ("import json, sys\n"
+              "import numpy\n"
+              "before = 'numpy.random' in sys.modules\n"
+              "from qbell.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(json.dumps([code, before, 'numpy.random' in sys.modules]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    argv = ["bell-max", _phi_plus_file(tmp_path), "--restarts", "2", "--seed", "3"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert after == before
 
 
 def test_check_reports_the_defect_validate_compared(tmp_path, capsys):
