@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import TSIRELSON_BOUND, BellSetting, bell_number
+from .bell import TSIRELSON_BOUND, BellSetting, bell_number, bound_verdicts as bell_verdicts
 from .density import HERM_TOL, PSD_TOL, DensityMatrix, HermitianMatrix, SeparableDecomposition
 from .density import hermitian_spectrum, require_square, validate, verdict
 from .errors import DomainError, QbellError
@@ -46,10 +46,6 @@ class ObservableMatrix(HermitianMatrix):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         super().__init__(*hermitian_spectrum(m, HERM_TOL, "observable"))
 
-    @property
-    def trace(self) -> float:
-        return _trace(self.mat)
-
 
 @dataclass(frozen=True)
 class UnitaryQuadruple:
@@ -69,20 +65,21 @@ def min_admissible_x(f: ObservableMatrix) -> float:
     return float(max(abs(f.spectrum[0]), abs(f.spectrum[-1])))  # ascending spectrum
 
 
-def _shifted_trace(f: ObservableMatrix, x: float) -> float:
-    """Tr(f + x I), summed from the shifted diagonal, once ``x`` is in the domain:
-    x > max |f_j| strictly, with the trace finite. Else :class:`DomainError`."""
+def _shifted(f: ObservableMatrix, x: float) -> tuple:
+    """f + x I and its trace, summed from the shifted diagonal, once ``x`` is in
+    the domain: x > max |f_j| strictly, with the trace finite. Else :class:`DomainError`.
+    Both are scaled up, exactly, by the power of two that takes a trace below 1 into
+    [0.5, 1): below 2**-1024 numpy's 1 / trace is inf, and the Bell form loses bits."""
     x_min = min_admissible_x(f)
     if not x > x_min:
-        raise DomainError(
-            f"x must strictly exceed the largest |eigenvalue| {x_min!r}; got {x!r}"
-        )
+        raise DomainError(f"x must strictly exceed the largest |eigenvalue| {x_min!r}; got {x!r}")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite; got {x!r}")
     trace = _trace(f.mat, x)  # no f_jj + x is -inf, so a finite trace has finite terms
     if not math.isfinite(trace):
         raise DomainError(f"x must be small enough that Tr(f + x I) is finite; got {x!r}")
-    return trace
+    k = min(math.frexp(trace)[1], 0)
+    return np.ldexp((f.mat + x * _IDENTITY_4).view(float), -k).view(complex), math.ldexp(trace, -k)
 
 
 def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
@@ -93,9 +90,9 @@ def rho_of_x(f: ObservableMatrix, x: float) -> DensityMatrix:
     read here from f + x I, which stays accurate where f_j + x cancels. A
     shifted matrix that ``validate`` rejects raises :class:`DomainError` naming ``x``.
     """
-    trace = _shifted_trace(f, x)
+    shifted, trace = _shifted(f, x)
     try:
-        return validate((f.mat + x * _IDENTITY_4) / trace)
+        return validate(shifted / trace)
     except QbellError as e:
         raise DomainError(f"rho(x) at x = {x!r} is not a valid density matrix: {e}") from e
 
@@ -105,20 +102,24 @@ def appendix_bell_value(f: ObservableMatrix, x: float, q: UnitaryQuadruple) -> f
     sign-pattern contraction of the appendix's stochastic matrix. The identity
     has no correlation tensor, so it is |B(f + x I, q)| / Tr(f + x I), read with
     the domain checks of :func:`rho_of_x` but without building rho(x)."""
-    trace = _shifted_trace(f, x)
-    return abs(bell_number(f.mat + x * _IDENTITY_4, q.as_setting())) / trace
+    shifted, trace = _shifted(f, x)
+    return abs(bell_number(shifted, q.as_setting())) / trace
 
 
-def observable_bound_check(f: ObservableMatrix, q: UnitaryQuadruple) -> dict:
-    """For positive-definite f: the ``observable_bound`` verdict of |Bell number
-    of f| at ``q`` against 2 sqrt(2) Tr f, within ``PSD_TOL``."""
-    bad = [float(v) for v in f.spectrum if v <= 0.0]
-    if bad:
-        raise DomainError(f"observable must be positive definite; eigenvalues {bad} are not")
-    bound = TSIRELSON_BOUND * f.trace
-    if not math.isfinite(bound):
-        raise DomainError(f"observable_bound_check: 2 sqrt(2) Tr f overflows; Tr f = {f.trace!r}")
-    return verdict("observable_bound", abs(bell_number(f, q.as_setting())), bound, PSD_TOL)
+def bound_verdicts(f: ObservableMatrix, value: float, q: UnitaryQuadruple) -> list:
+    """``tsirelson_bound`` on ``value``, the Bell value of rho(x), as the Bell layer
+    decides it, and for positive-definite f only, ``observable_bound``: |Bell
+    number of f| at ``q`` against 2 sqrt(2) Tr f, within ``PSD_TOL``."""
+    _, tsirelson = bell_verdicts(value)
+    verdicts = [tsirelson]
+    if f.spectrum[0] > 0.0:
+        trace = _trace(f.mat)
+        bound = TSIRELSON_BOUND * trace
+        if not math.isfinite(bound):
+            raise DomainError(f"observable_bound: 2 sqrt(2) Tr f overflows; Tr f = {trace!r}")
+        value_f = abs(bell_number(f, q.as_setting()))
+        verdicts.append(verdict("observable_bound", value_f, bound, PSD_TOL))
+    return verdicts
 
 
 def separable_observable_check(witness: SeparableDecomposition, q: UnitaryQuadruple) -> dict:

@@ -33,6 +33,8 @@ from .tomography import EulerAngles
 
 SEPARABLE_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
+# Verdicts that report a finding, not a violated check: they never set exit code 1.
+FINDINGS = ("separable_bound",)
 # Far above accumulated rounding, far below the 0.828 gap between bounds.
 CLASSIFY_TOL = 1e-6
 # maximize_bell halves its pattern-search step over the four sender angles from

@@ -24,8 +24,8 @@ every float prints in Python's shortest round-trip form and parses back to the
 same float, and an integral float keeps its ``.0``.
 ``wall_time_ms`` is the only nondeterministic field and always comes last.
 
-Exit codes: 1 exactly when a verdict other than ``separable_bound`` fails (a
-violated inequality or bound), 2 invalid input or usage, 0 otherwise.
+Exit codes: 1 exactly when a verdict that is not a finding (``bell.FINDINGS``)
+fails (a violated inequality or bound), 2 invalid input or usage, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -235,10 +235,7 @@ def cmd_appendix(f, args):
     setting, body = _bell_stage(rho, args)
     quad = apx.UnitaryQuadruple(u1=setting.a, u2=setting.d, u3=setting.b, u4=setting.c)
     value = apx.appendix_bell_value(f, args.x, quad)
-    _, tsirelson = bl.bound_verdicts(value)
-    body["verdicts"] = [tsirelson]
-    if float(f.spectrum[0]) > 0.0:
-        body["verdicts"].append(apx.observable_bound_check(f, quad))
+    body["verdicts"] = apx.bound_verdicts(f, value, quad)
     body["result"] = {
         "x": float(args.x),
         "min_admissible_x": apx.min_admissible_x(f),
@@ -355,9 +352,8 @@ def main(argv=None) -> int:
         report = {"command": args.command, "input_label": label, **body,
                   "wall_time_ms": wall_time_ms}
     print(format_json(report))
-    # Exceeding the separable bound is a finding, not a violated check.
     return int(any(not v["holds"] for v in body.get("verdicts", ())
-                   if v["check_name"] != "separable_bound"))
+                   if v["check_name"] not in bl.FINDINGS))
 
 
 if __name__ == "__main__":

@@ -14,19 +14,20 @@ from conftest import (
     stochastic_omega,
 )
 
-from qbell import appendix, density
+from qbell import appendix, bell, density
 from qbell.appendix import (
     ObservableMatrix,
     UnitaryQuadruple,
     appendix_bell_value,
+    bound_verdicts,
     min_admissible_x,
-    observable_bound_check,
     rho_of_x,
     separable_observable_check,
 )
 from qbell.bell import TSIRELSON_BOUND, BellSetting, bell_number, correlation_tensor, maximize_bell
 from qbell.cli import main, matrix_to_file_dict
 from qbell.density import (
+    DensityMatrix,
     HermitianMatrix,
     SeparableDecomposition,
     hermitian_part,
@@ -166,6 +167,27 @@ def test_rho_of_zero_observable_is_maximally_mixed():
     assert np.max(np.abs(rho.mat - np.eye(4) / 4)) <= 1e-15
 
 
+def test_rho_of_x_at_a_trace_below_2_to_the_minus_1024_is_a_state():
+    # numpy divides by the reciprocal of the trace, which is inf below 2**-1024.
+    rho = rho_of_x(ObservableMatrix(np.zeros((4, 4))), 5e-324)
+    assert rho.mat.tobytes() == (np.eye(4, dtype=complex) / 4).tobytes()
+    f = ObservableMatrix(np.diag([1.0, 2.0, 3.0, 4.0]) * 1e-320)
+    rho = rho_of_x(f, 1e-319)
+    assert isinstance(rho, DensityMatrix)
+    want = _exact_rho(f, 1e-319)
+    assert max(abs(Fraction(rho.mat[j, j].real) - want[j][j]) for j in range(4)) <= 1e-16
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-318, 1e-321])
+def test_value_at_a_subnormal_scale_is_the_bell_number_of_rho_of_x(scale):
+    # f + x I near the phi-plus projector, with every entry subnormal.
+    f = ObservableMatrix(-scale * (np.eye(4) - 2 * PHI_PLUS))
+    x = min_admissible_x(f) * 1.5
+    value = appendix_bell_value(f, x, CHSH_OPTIMAL_QUAD)
+    want = abs(bell_number(rho_of_x(f, x), CHSH_OPTIMAL_QUAD.as_setting()))
+    assert abs(value - want) <= 1e-15
+
+
 def test_rho_of_x_explicit_diagonal_case():
     f = ObservableMatrix(np.diag([1.0, -1.0, 0.0, 0.0]))
     rho = rho_of_x(f, 2.0)
@@ -178,7 +200,7 @@ def test_rho_of_x_spectrum_formula():
         f = _random_observable(rng, scale=2.0)
         x = min_admissible_x(f) * (1 + rng.uniform(0.01, 3.0)) + 0.05
         rho = rho_of_x(f, x)
-        expected = np.sort((f.spectrum + x) / (4 * x + f.trace))
+        expected = np.sort((f.spectrum + x) / (4 * x + np.trace(f.mat).real))
         assert np.max(np.abs(rho.spectrum - expected)) <= 1e-10
 
 
@@ -272,7 +294,7 @@ def test_value_agrees_with_bell_module_on_random_inputs():
         q = _random_quad(rng)
         # The identity carries no correlation, so B is linear in f over 4x + Tr f.
         lhs = appendix_bell_value(f, x, q)
-        rhs = abs(bell_number(f.mat, q.as_setting())) / (4 * x + f.trace)
+        rhs = abs(bell_number(f.mat, q.as_setting())) / (4 * x + np.trace(f.mat).real)
         assert abs(lhs - rhs) <= 1e-12
 
 
@@ -354,8 +376,18 @@ def test_value_respects_universal_ceiling():
         assert appendix_bell_value(f, x, _random_quad(rng)) <= TSIRELSON_BOUND + 1e-9
 
 
+def _observable_bound(f, q):
+    """The ``observable_bound`` verdict, which ``bound_verdicts`` adds last."""
+    _, chk = bound_verdicts(f, 0.0, q)
+    return chk
+
+
 def test_observable_bound_identity_case():
-    chk = observable_bound_check(ObservableMatrix(np.eye(4)), CHSH_OPTIMAL_QUAD)
+    f = ObservableMatrix(np.eye(4))
+    value = appendix_bell_value(f, 2.0, CHSH_OPTIMAL_QUAD)
+    tsirelson, chk = bound_verdicts(f, value, CHSH_OPTIMAL_QUAD)
+    assert tsirelson == bell.bound_verdicts(value)[1]
+    assert chk["check_name"] == "observable_bound" and chk["margin"] == density.PSD_TOL
     assert chk["value"] <= 1e-12
     assert abs(chk["bound"] - TSIRELSON_BOUND * 4.0) <= 1e-12
     assert chk["holds"]
@@ -368,7 +400,7 @@ def test_observable_bound_scales_linearly_with_density_matrices():
         c = rng.uniform(0.5, 5.0)
         f = ObservableMatrix(c * rho.mat)
         q = _random_quad(rng)
-        chk = observable_bound_check(f, q)
+        chk = _observable_bound(f, q)
         s = BellSetting(a=q.u1, d=q.u2, b=q.u3, c=q.u4)
         assert abs(chk["value"] - c * abs(bell_number(rho, s))) <= 1e-10
 
@@ -379,7 +411,7 @@ def test_observable_bound_holds_for_positive_definite_inputs():
         h = random_hermitian(rng, 4)
         shift = abs(np.linalg.eigvalsh(h)[0]) + rng.uniform(0.1, 1.0)
         f = ObservableMatrix(h + shift * np.eye(4))
-        assert observable_bound_check(f, _random_quad(rng))["holds"]
+        assert _observable_bound(f, _random_quad(rng))["holds"]
 
 
 def test_observable_checks_match_the_rotated_diagonal_form():
@@ -389,7 +421,7 @@ def test_observable_checks_match_the_rotated_diagonal_form():
         f = ObservableMatrix(h + (abs(np.linalg.eigvalsh(h)[0]) + 0.1) * np.eye(4))
         q = _random_quad(rng)
         want = observable_bell_value(f.mat, q)
-        assert abs(observable_bound_check(f, q)["value"] - want) <= 1e-12 * max(1.0, want)
+        assert abs(_observable_bound(f, q)["value"] - want) <= 1e-12 * max(1.0, want)
         witness = random_separable(seed, 1 + seed % 4)
         want = observable_bell_value(witness.matrix(), q)
         assert abs(separable_observable_check(witness, q)["value"] - want) <= 1e-12 * max(1.0, want)
@@ -425,14 +457,15 @@ def test_observable_bound_rejects_an_overflowing_trace_without_warnings():
     f = ObservableMatrix(np.diag([1e308, 1e308, 1.0, 1.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="observable_bound_check: .*Tr f"):
-            observable_bound_check(f, CHSH_OPTIMAL_QUAD)
+        with pytest.raises(DomainError, match="observable_bound: .*Tr f"):
+            bound_verdicts(f, 0.0, CHSH_OPTIMAL_QUAD)
 
 
-def test_observable_bound_rejects_indefinite_spectrum():
-    f = ObservableMatrix(np.diag([1.0, -1.0, 1.0, 1.0]))
-    with pytest.raises(DomainError, match="-1.0"):
-        observable_bound_check(f, IDENTITY_QUAD)
+@pytest.mark.parametrize("least", [-1.0, 0.0])
+def test_an_observable_that_is_not_positive_definite_gets_only_the_tsirelson_verdict(least):
+    f = ObservableMatrix(np.diag([1.0, least, 1.0, 1.0]))
+    value = appendix_bell_value(f, 2.0, IDENTITY_QUAD)
+    assert bound_verdicts(f, value, IDENTITY_QUAD) == bell.bound_verdicts(value)[1:]
 
 
 def test_separable_observable_single_term_reaches_two():

@@ -497,7 +497,7 @@ def test_appendix_prints_the_margin_of_each_bound(tmp_path, capsys):
         ("tsirelson_bound", 1e-6), ("observable_bound", density.PSD_TOL)]
 
 
-def test_appendix_prints_the_verdict_of_observable_bound_check(tmp_path, capsys):
+def test_appendix_prints_the_verdicts_of_bound_verdicts(tmp_path, capsys):
     rng = np.random.default_rng(40)
     g = rng.standard_normal((4, 8)).view(complex)
     for m, x in ((np.diag([0.01, 0.02, 0.03, 0.04]), 0.05), (g @ g.conj().T + np.eye(4), 50.0)):
@@ -508,7 +508,16 @@ def test_appendix_prints_the_verdict_of_observable_bound_check(tmp_path, capsys)
         quad = appendix.UnitaryQuadruple(*(EulerAngles(*angles[k:k + 2]) for k in range(0, 8, 2)))
         f = appendix.ObservableMatrix(parse_matrix(path)[0])
         assert code == 0
-        assert rep["verdicts"][-1] == appendix.observable_bound_check(f, quad)
+        assert rep["verdicts"] == appendix.bound_verdicts(f, rep["result"]["value"], quad)
+        assert rep["verdicts"][-1]["check_name"] == "observable_bound"
+
+
+def test_appendix_at_a_trace_below_2_to_the_minus_1024_prints_a_report(tmp_path, capsys):
+    path = _write(tmp_path, "zero.json", matrix_to_file_dict(np.zeros((4, 4), dtype=complex)))
+    code, rep = _run(capsys, ["appendix", path, "--x", "5e-324", "--restarts", "1"])
+    assert code == 0
+    assert rep["result"]["value"] == 0.0
+    assert rep["result"]["rho_x_spectrum"] == [0.25] * 4
 
 
 @pytest.mark.parametrize("failing, want", [
@@ -519,6 +528,7 @@ def test_appendix_prints_the_verdict_of_observable_bound_check(tmp_path, capsys)
 ])
 def test_main_exits_1_exactly_when_a_verdict_other_than_the_separable_bound_fails(
         tmp_path, capsys, monkeypatch, failing, want):
+    assert bell.FINDINGS == ("separable_bound",)
     names = ("separable_bound", "tsirelson_bound", "observable_bound")
     body = {"verdicts": [{"check_name": n, "holds": n not in failing} for n in names]}
     monkeypatch.setattr(cli, "cmd_check", lambda rho, args: body)

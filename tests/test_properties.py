@@ -75,11 +75,11 @@ def boundary_states(draw):
     return v @ np.diag(lam) @ v.conj().T
 
 
-# Entry magnitudes from 1e-300 to 1e300, signed, or exactly zero.
+# Entry magnitudes from the least subnormal to 1e300, signed, or exactly zero.
 magnitudes = st.one_of(
     st.just(0.0),
     st.builds(
-        lambda sign, e: sign * 10.0 ** e, st.sampled_from((1.0, -1.0)), st.floats(-300.0, 300.0)
+        lambda sign, e: sign * 10.0 ** e, st.sampled_from((1.0, -1.0)), st.floats(-323.5, 300.0)
     ),
 )
 
@@ -152,7 +152,7 @@ def test_trace_edge_states_pass_every_block_trace(mat):
 def shifts(draw, f):
     """x from just above min_admissible_x(f), log-uniformly up to 1e300."""
     x_min = float(np.max(np.abs(f.spectrum)))
-    lo = x_min * (1.0 + 1e-15) if x_min > 0.0 else 1e-300
+    lo = x_min * (1.0 + 1e-15) if x_min > 0.0 else 5e-324
     hi = max(lo, 1e300)
     t = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
     return max(lo, math.exp(math.log(lo) + t * (math.log(hi) - math.log(lo))))
@@ -170,6 +170,22 @@ def test_extreme_shifts_pass_every_layer(data, mat, a1, a2, setting):
     _assert_state_layers(rho, a1, a2, setting)
     quad = UnitaryQuadruple(u1=setting.a, u2=setting.d, u3=setting.b, u4=setting.c)
     assert appendix_bell_value(f, x, quad) <= TSIRELSON_BOUND + CLASSIFY_TOL
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), observables())
+def test_rho_of_x_divides_as_numpy_does_wherever_the_reciprocal_trace_is_finite(data, mat):
+    try:
+        f = ObservableMatrix(mat)
+        x = data.draw(shifts(f))
+        rho = rho_of_x(f, x)
+    except QbellError:
+        return
+    shifted = f.mat + x * np.eye(4)
+    d = shifted.diagonal().real.tolist()
+    trace = (d[0] + d[1]) + (d[2] + d[3])
+    if math.isfinite(1.0 / trace):
+        assert rho.mat.tobytes() == (shifted / trace).tobytes()
 
 
 @st.composite
