@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import TSIRELSON_BOUND, BellSetting, bell_number, bound_verdicts as bell_verdicts
-from .density import HERM_TOL, PSD_TOL, DensityMatrix, HermitianMatrix, SeparableDecomposition
-from .density import hermitian_spectrum, require_square, validate, verdict
+from .density import PSD_TOL, DensityMatrix, HermitianMatrix, SeparableDecomposition
+from .density import require_square, validate, verdict
 from .errors import DomainError, QbellError
 from .tomography import EulerAngles
 
@@ -35,8 +35,7 @@ def _trace(m: np.ndarray, x: float = 0.0) -> float:
 
 
 class ObservableMatrix(HermitianMatrix):
-    """Hermitian 4x4 matrix: the Hermitian part of the input, which is the input
-    itself, bit for bit, if that is exactly Hermitian with no entry below 2**-1021."""
+    """Hermitian 4x4 matrix, held as :class:`HermitianMatrix` holds any input."""
 
     __slots__ = ()
 
@@ -44,7 +43,7 @@ class ObservableMatrix(HermitianMatrix):
         m = require_square(mat)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        super().__init__(*hermitian_spectrum(m, HERM_TOL, "observable"))
+        super().__init__(m, "observable")
 
 
 @dataclass(frozen=True)

@@ -166,11 +166,10 @@ def _setting_dict(s: bl.BellSetting) -> dict:
 # Subcommand handlers: each maps the loaded input to its report body.
 
 def cmd_check(rho, args):
-    herm = density.hermitian_part(rho.mat)[1]  # the defect validate compared
     tr_dev = abs(complex(np.trace(rho.mat)) - 1.0)
     min_eig = float(rho.spectrum[0])
     verdicts = [
-        density.verdict("hermiticity", herm, density.HERM_TOL, 0.0),
+        density.verdict("hermiticity", rho.defect, density.HERM_TOL, 0.0),
         density.verdict("trace_normalization", tr_dev, density.TRACE_TOL, 0.0),
         density.verdict("positivity", min_eig, -density.PSD_TOL, 0.0, lower=True),
     ]

@@ -31,16 +31,29 @@ def verdict(check_name: str, value: float, bound: float, margin: float, lower=Fa
 
 
 class HermitianMatrix:
-    """Read-only Hermitian matrix and its ascending spectrum. Takes over arrays
-    that nothing else references and makes them read-only, without copying."""
+    """Read-only Hermitian part (:func:`hermitian_part`) of a copy of the input,
+    with its ascending spectrum and the input's defect. The constructor is the
+    package's one hermiticity check; a spectrum that overflows float64 raises
+    :class:`QbellError` naming ``stage``."""
 
-    __slots__ = ("_mat", "_spectrum")
+    __slots__ = ("_mat", "_spectrum", "_defect")
 
-    def __init__(self, mat: np.ndarray, spectrum: np.ndarray):
-        mat.flags.writeable = False
-        spectrum.flags.writeable = False
-        self._mat = mat
-        self._spectrum = spectrum
+    def __init__(self, a, stage: str):
+        m = require_square(np.array(a, dtype=np.complex128, order="C"))
+        part, defect = hermitian_part(m)
+        if defect > HERM_TOL:
+            raise HermiticityError(
+                f"hermiticity defect {defect:.3e} exceeds tolerance {HERM_TOL:.1e}"
+            )
+        spectrum = np.linalg.eigvalsh(part)
+        # Ascending, so an eigenvalue that overflowed shows at one end.
+        if not (math.isfinite(spectrum[0]) and math.isfinite(spectrum[-1])):
+            raise QbellError(
+                f"{stage}: eigenvalues overflow float64 "
+                f"(largest entry modulus {float(np.abs(m).max()):.3e})"
+            )
+        part.flags.writeable = spectrum.flags.writeable = False
+        self._mat, self._spectrum, self._defect = part, spectrum, defect
 
     @property
     def mat(self) -> np.ndarray:
@@ -54,6 +67,11 @@ class HermitianMatrix:
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, ascending."""
         return self._spectrum
+
+    @property
+    def defect(self) -> float:
+        """The input's hermiticity defect, as :func:`hermitian_part` reads it."""
+        return self._defect
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim}, spectrum={np.round(self._spectrum, 6)})"
@@ -81,36 +99,17 @@ def require_square(a) -> np.ndarray:
 
 def hermitian_part(m: np.ndarray) -> tuple:
     """(m + m†)/2 of a square matrix and the package's one hermiticity defect,
-    max|m - m†| (inf where that overflows). The part is m/2 + m†/2, so it stays
-    finite for finite entries. It equals (m + m†)/2 bit for bit wherever that is
-    finite, except at entries of modulus below 2**-1021: their halves are subnormal
-    and may lose the last bit (5e-324 halves to 0)."""
+    max|m - m†| (inf where that overflows). A matrix with defect 0 is its own
+    part, returned as is. Otherwise the part is m/2 + m†/2, so it stays finite for
+    finite entries. It equals (m + m†)/2 bit for bit wherever that is finite,
+    except at entries of modulus below 2**-1021: their halves are subnormal and
+    may lose the last bit (5e-324 halves to 0)."""
     with np.errstate(over="ignore"):
         defect = float(np.abs(m - m.conj().T).max())
+    if defect == 0.0:
+        return m, defect
     half = m * 0.5
     return half + half.conj().T, defect
-
-
-def hermitian_spectrum(m: np.ndarray, herm_tol: float, stage: str) -> tuple:
-    """The Hermitian part of a square matrix and its ascending eigenvalues.
-
-    The package's one hermiticity check: the defect of :func:`hermitian_part`
-    must not exceed ``herm_tol``. A spectrum that overflows float64 raises
-    :class:`QbellError` naming ``stage``.
-    """
-    part, defect = hermitian_part(m)
-    if defect > herm_tol:
-        raise HermiticityError(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {herm_tol:.1e}"
-        )
-    spectrum = np.linalg.eigvalsh(part)
-    # Ascending, so an eigenvalue that overflowed shows at one end.
-    if not (math.isfinite(spectrum[0]) and math.isfinite(spectrum[-1])):
-        raise QbellError(
-            f"{stage}: eigenvalues overflow float64 "
-            f"(largest entry modulus {float(np.abs(m).max()):.3e})"
-        )
-    return part, spectrum
 
 
 def validate(mat, traced: int = 1) -> DensityMatrix:
@@ -118,30 +117,29 @@ def validate(mat, traced: int = 1) -> DensityMatrix:
 
     Raises :class:`HermiticityError`, :class:`TraceError` or
     :class:`PositivityError`, checked in that order, each naming the
-    offending magnitude; see :func:`hermitian_spectrum` for entries so large
-    that the spectrum overflows. The computed spectrum is cached on the
-    returned object.
+    offending magnitude; see :class:`HermitianMatrix` for entries so large
+    that the spectrum overflows. The trace and the spectrum are those of the
+    held Hermitian part.
 
-    For a block trace over ``traced`` blocks of a valid state, whose defects
-    it sums, the hermiticity and positivity tolerances scale by ``traced``;
-    trace and positivity also allow each of the ``traced - 1`` sums ``HERM_TOL``
-    of rounding, as a block trace sums the diagonal in its own order.
+    For a block trace over ``traced`` blocks of a valid state, whose negative
+    eigenvalues it sums, the positivity tolerance scales by ``traced``; trace and
+    positivity also allow each of the ``traced - 1`` sums ``HERM_TOL`` of
+    rounding, as a block trace sums the diagonal in its own order.
     """
-    # The one copy: the caller keeps its array, the result owns this one.
-    m = require_square(np.array(mat, dtype=np.complex128, order="C"))
-    spectrum = hermitian_spectrum(m, HERM_TOL * traced, "validate")[1]
+    rho = DensityMatrix(mat, "validate")
     rounding = HERM_TOL * (traced - 1)
-    tr = complex(m.trace())
     trace_tol = TRACE_TOL + rounding
-    if abs(tr - 1.0) > trace_tol:
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace fails below
+        tr = complex(rho.mat.trace())
+    if not abs(tr - 1.0) <= trace_tol:
         raise TraceError(f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}, "
                          f"exceeds tolerance {trace_tol:.1e}")
     psd_tol = PSD_TOL * traced + rounding
-    if spectrum[0] < -psd_tol:
+    if rho.spectrum[0] < -psd_tol:
         raise PositivityError(
-            f"negative eigenvalue {spectrum[0]:.6e} below tolerance -{psd_tol:.1e}"
+            f"negative eigenvalue {rho.spectrum[0]:.6e} below tolerance -{psd_tol:.1e}"
         )
-    return DensityMatrix(m, spectrum)
+    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -124,9 +124,10 @@ def random_hermitian(rng, n, scale=1.0):
     return scale * (g + g.conj().T) / 2.0
 
 
-# States that validate accepts at its default tolerances, with defects that
-# a 2x2 block trace doubles: two eigenvalues at -9e-10 in one diagonal
-# block, and a 6e-11 hermiticity defect in each diagonal block.
+# States that validate accepts at its default tolerances, with defects at
+# the edge: two eigenvalues at -9e-10 in one diagonal block, which a 2x2
+# block trace doubles, and a 6e-11 hermiticity defect in each diagonal block,
+# which validate drops by holding the Hermitian part.
 EDGE_NEGATIVE_BLOCK = np.diag([-9e-10, -9e-10, 0.5 + 9e-10, 0.5 + 9e-10]).astype(complex)
 EDGE_SKEW_BLOCKS = np.eye(4, dtype=complex) / 4
 EDGE_SKEW_BLOCKS[0, 1] += 6e-11

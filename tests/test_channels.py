@@ -124,14 +124,16 @@ def test_dual_factorizations_give_different_reductions():
 
 
 def test_reductions_of_edge_states_are_accepted():
-    # Each reduced entry sums two entries of the input, so the reductions
-    # carry twice the input's defects; the block traces allow for that.
+    # Each reduced entry sums two entries of the input, so the reductions carry
+    # twice its negative eigenvalues; the block traces allow for that. A state
+    # holds the Hermitian part of its input, so its reductions are exactly Hermitian.
     p = BlockPartition(2, 2)
     neg = validate(EDGE_NEGATIVE_BLOCK)
     assert abs(block_trace_first(neg, p).spectrum[0] + 1.8e-9) <= 1e-20
     skew = validate(EDGE_SKEW_BLOCKS)
+    assert skew.defect == 6e-11
     second = block_trace_second(skew, p)
-    assert abs(second.mat[0, 1] - second.mat[1, 0].conjugate() - 1.2e-10) <= 1e-20
+    assert second.defect == 0.0 and np.array_equal(second.mat, second.mat.conj().T)
     trace = validate(EDGE_TRACE)
     assert abs(complex(block_trace_second(trace, p).mat.trace()) - 1.0) > TRACE_TOL
     for rho in (neg, skew, trace):

@@ -176,6 +176,18 @@ def test_check_indefinite_matrix_exits_2(tmp_path, capsys):
     assert "negative eigenvalue" in captured.err
 
 
+def test_check_rejects_a_trace_that_overflows_in_one_line(tmp_path, capsys):
+    big = np.diag([1e308, 1e308, -1e308, -1e308])
+    path = _write(tmp_path, "big.json", {"dim": 4, "re": big.tolist()})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["check", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and caught == []
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("qbell: error: matrix is not a valid density matrix: trace ")
+
+
 def test_entropy_on_entangled_projector(tmp_path, capsys):
     code, rep = _run(capsys, ["entropy", _phi_plus_file(tmp_path), "--partition", "2", "2"])
     assert code == 0

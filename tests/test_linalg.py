@@ -3,10 +3,9 @@ import pytest
 from conftest import random_hermitian, random_unitary, su2
 
 from qbell.density import (
-    HERM_TOL,
+    HermitianMatrix,
     SeparableDecomposition,
     hermitian_part,
-    hermitian_spectrum,
     random_density,
     require_square,
 )
@@ -53,15 +52,15 @@ def test_kron_spectrum_is_pairwise_products():
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 
-# hermitian_spectrum is the package's one Hermitian eigenvalue routine.
+# The HermitianMatrix constructor is the package's one Hermitian eigenvalue routine.
 
 def test_eigen_diagonal_case():
-    w = hermitian_spectrum(np.diag([3.0, 1.0, 2.0]), HERM_TOL, "test")[1]
+    w = HermitianMatrix(np.diag([3.0, 1.0, 2.0]), "test").spectrum
     assert np.allclose(w, [1.0, 2.0, 3.0], atol=0)
 
 
 def test_eigen_pauli_x_spectrum():
-    w = hermitian_spectrum(np.array([[0, 1], [1, 0]], dtype=complex), HERM_TOL, "test")[1]
+    w = HermitianMatrix(np.array([[0, 1], [1, 0]], dtype=complex), "test").spectrum
     assert np.allclose(w, [-1.0, 1.0], atol=1e-14)
 
 
@@ -70,7 +69,7 @@ def test_eigen_reconstruction():
     rng = np.random.default_rng(17)
     for n in (2, 3, 4, 6, 8):
         h = random_hermitian(rng, n, scale=3.0)
-        w = hermitian_spectrum(h, HERM_TOL, "test")[1]
+        w = HermitianMatrix(h, "test").spectrum
         scale = max(np.max(np.abs(h)), 1.0)
         assert abs(w.sum() - np.trace(h).real) <= 1e-10 * scale
         assert abs((w * w).sum() - (np.abs(h) ** 2).sum()) <= 1e-10 * scale * scale
@@ -82,22 +81,22 @@ def test_eigen_unitary_similarity_invariance():
     for _ in range(25):
         h = random_hermitian(rng, 4)
         u = random_unitary(rng, 4)
-        w1 = hermitian_spectrum(h, HERM_TOL, "test")[1]
-        w2 = hermitian_spectrum(u @ h @ u.conj().T, 1e-9, "test")[1]
+        w1 = HermitianMatrix(h, "test").spectrum
+        w2 = HermitianMatrix(u @ h @ u.conj().T, "test").spectrum
         assert np.max(np.abs(w1 - w2)) <= 1e-9
 
 
 def test_eigen_rejects_non_hermitian():
     with pytest.raises(HermiticityError, match="defect 1.000e\\+00"):
-        hermitian_spectrum(np.array([[0, 1], [0, 0]], dtype=complex), HERM_TOL, "test")
+        HermitianMatrix(np.array([[0, 1], [0, 0]], dtype=complex), "test")
 
 
 def test_eigen_is_deterministic():
     rng = np.random.default_rng(31)
     h = random_hermitian(rng, 5)
-    part, w = hermitian_spectrum(h, HERM_TOL, "test")
-    again = hermitian_spectrum(h.copy(), HERM_TOL, "test")
-    assert np.array_equal(part, again[0]) and np.array_equal(w, again[1])
+    held = HermitianMatrix(h, "test")
+    again = HermitianMatrix(h.copy(), "test")
+    assert np.array_equal(held.mat, again.mat) and np.array_equal(held.spectrum, again.spectrum)
 
 
 def test_hermitian_part_halves_before_adding():
@@ -106,13 +105,17 @@ def test_hermitian_part_halves_before_adding():
     for _ in range(200):
         h = random_hermitian(rng, 4) + 1e-11 * rng.standard_normal((4, 4))
         want = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
-        assert hermitian_spectrum(h, HERM_TOL, "test")[1].tobytes() == want.tobytes()
-    # The documented exception: an entry below 2**-1021 may lose its last bit.
+        assert HermitianMatrix(h, "test").spectrum.tobytes() == want.tobytes()
+    # An exactly Hermitian matrix is its own part, also at subnormal entries.
     m = np.eye(2, dtype=complex) / 2
     m[0, 1] = m[1, 0] = 5e-324
-    assert ((m + m.conj().T) / 2.0)[0, 1] == 5e-324
-    assert hermitian_part(m)[0][0, 1] == 0.0
+    assert hermitian_part(m)[0] is m
+    # The documented exception: with a defect, an entry below 2**-1021 may lose its last bit.
+    m[1, 0] += 1e-12j
+    assert ((m + m.conj().T) / 2.0)[0, 1].real == 5e-324
+    assert hermitian_part(m)[0][0, 1].real == 0.0
     m[0, 1] = m[1, 0] = 2.0**-1021
+    m[1, 0] += 1e-12j
     assert hermitian_part(m)[0].tobytes() == ((m + m.conj().T) / 2.0).tobytes()
 
 

@@ -22,8 +22,8 @@ from qbell.appendix import (
     rho_of_x,
 )
 from qbell.bell import CLASSIFY_TOL, TSIRELSON_BOUND, BellSetting, bell_number
-from qbell.channels import BlockPartition
-from qbell.density import HERM_TOL, PSD_TOL, TRACE_TOL, validate
+from qbell.channels import BlockPartition, block_trace_first, block_trace_second
+from qbell.density import HERM_TOL, PSD_TOL, TRACE_TOL, hermitian_part, validate
 from qbell.entropy import DIVERGENT, check_subadditivity, relative_entropy
 from qbell.errors import DomainError, QbellError
 from qbell.tomography import EulerAngles, joint_tomogram
@@ -146,6 +146,25 @@ def test_trace_edge_states_pass_every_block_trace(mat):
     for n in (k for k in range(1, rho.dim + 1) if rho.dim % k == 0):
         rep = check_subadditivity(rho, BlockPartition(n, rho.dim // n))
         assert rep.subadditivity_holds and rep.araki_lieb_holds
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(boundary_states(), trace_edge_states()))
+def test_a_state_holds_the_hermitian_part_of_its_input_and_its_defect(mat):
+    before = mat.copy()
+    rho = _validated(mat)
+    if rho is None:
+        return
+    part, defect = hermitian_part(before)
+    assert rho.defect == defect
+    assert rho.mat.tobytes() == (before if defect == 0.0 else part).tobytes()
+    assert mat.tobytes() == before.tobytes() and mat.flags.writeable
+    # Every reduction of a held state is exactly Hermitian. Compared as floats:
+    # conj turns a zero imaginary part +0.0 into -0.0.
+    for n in (k for k in range(1, rho.dim + 1) if rho.dim % k == 0):
+        p = BlockPartition(n, rho.dim // n)
+        for reduced in (block_trace_first(rho, p), block_trace_second(rho, p)):
+            assert np.array_equal(reduced.mat, reduced.mat.conj().T) and reduced.defect == 0.0
 
 
 @st.composite
