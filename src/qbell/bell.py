@@ -24,7 +24,7 @@ import enum
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,8 +41,6 @@ CLASSIFY_TOL = 1e-6
 # pi/4 until it is below this, or until a restart has spent MAX_EVALS evaluations.
 STEP_TOL = 1e-7
 MAX_EVALS = 40000
-# How maximize_bell finds its setting, as the CLI reports it.
-SEARCH_METHOD = "sender_pattern_search_receiver_closed_form"
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -96,9 +94,11 @@ class BellClass(enum.Enum):
 
 @dataclass(frozen=True)
 class OptimizerStats:
+    method: str = field(default="sender_pattern_search_receiver_closed_form", init=False)
     restarts: int
     evaluations: int
     converged: bool
+    step_tol: float = field(default=STEP_TOL, init=False)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,9 @@ Bell stage, :func:`_bell_stage`: the setting from ``--angles``, or from the
 optimizer without them. Each then reads one Bell value there and decides its
 verdicts on it: ``bell_number`` of the state, or ``appendix_bell_value`` of
 the observable.
-Every verdict comes from :func:`qbell.density.verdict`, with keys in the order
-check_name, value, bound, margin, holds, slack. ``check`` and ``tomogram`` build
-theirs here: a defect check's tolerance is its bound, with margin 0. A physical
-bound is decided, with its numerical margin, by the module that defines it, and
-printed as it comes back.
+Every verdict, with keys in the order check_name, value, bound, margin, holds,
+slack, is decided with its margin by the module that owns its rule (``check``'s
+by ``validate``), and printed as it comes back; the handlers name no tolerance.
 Reports are emitted on stdout with a fixed key order (command, input_label,
 verdicts, seed, optimizer, result, wall_time_ms) by ``json.dumps``:
 every float prints in Python's shortest round-trip form and parses back to the
@@ -166,15 +164,8 @@ def _setting_dict(s: bl.BellSetting) -> dict:
 # Subcommand handlers: each maps the loaded input to its report body.
 
 def cmd_check(rho, args):
-    tr_dev = abs(complex(np.trace(rho.mat)) - 1.0)
-    min_eig = float(rho.spectrum[0])
-    verdicts = [
-        density.verdict("hermiticity", rho.defect, density.HERM_TOL, 0.0),
-        density.verdict("trace_normalization", tr_dev, density.TRACE_TOL, 0.0),
-        density.verdict("positivity", min_eig, -density.PSD_TOL, 0.0, lower=True),
-    ]
     result = {"dim": rho.dim, "spectrum": [float(v) for v in rho.spectrum]}
-    return {"verdicts": verdicts, "result": result}
+    return {"verdicts": rho.verdicts, "result": result}
 
 
 def cmd_entropy(rho, args):
@@ -195,28 +186,24 @@ def cmd_tomogram(rho, args):
     probs = tomography.joint_tomogram(
         rho, tomography.EulerAngles(phi1, th1), tomography.EulerAngles(phi2, th2)
     )
-    verdicts = [density.verdict("normalization", abs(float(np.sum(probs)) - 1.0),
-                                density.PSD_TOL, 0.0)]
     result = {
         "angles": {"first": {"phi": phi1, "theta": th1},
                    "second": {"phi": phi2, "theta": th2}},
         "probabilities": [float(p) for p in probs],
-        "clamp_tol": density.CLAMP_TOL,
+        "clamp_tol": tomography.CLAMP_TOL,
     }
-    return {"verdicts": verdicts, "result": result}
+    return {"verdicts": [entropy.normalization_verdict(probs.tolist())], "result": result}
 
 
 def _bell_stage(rho, args):
     """The setting ``--angles`` names, or else the one ``maximize_bell`` finds
     for ``rho``, and the report body the Bell subcommands share: the seed and
-    optimizer method and statistics, with ``step_tol``, when the optimizer ran."""
+    optimizer's :class:`~qbell.bell.OptimizerStats`, when the optimizer ran."""
     body = {"verdicts": []}  # report order
     if args.angles is not None:
         return bl.BellSetting.from_flat(args.angles), body
     opt = bl.maximize_bell(rho, restarts=args.restarts, seed=args.seed)
-    body.update(seed=args.seed,
-                optimizer={"method": bl.SEARCH_METHOD, **dataclasses.asdict(opt.stats),
-                           "step_tol": bl.STEP_TOL})
+    body.update(seed=args.seed, optimizer=dataclasses.asdict(opt.stats))
     return opt.setting, body
 
 

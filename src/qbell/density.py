@@ -30,6 +30,11 @@ def verdict(check_name: str, value: float, bound: float, margin: float, lower=Fa
             "margin": float(margin), "holds": bool(slack >= -margin), "slack": float(slack)}
 
 
+def normalization_verdict(w) -> dict:
+    """The one sum rule: |sum(w) - 1|, Python's ``sum`` of floats, against ``PSD_TOL``, margin 0."""
+    return verdict("normalization", abs(sum(w) - 1.0), PSD_TOL, 0.0)
+
+
 class HermitianMatrix:
     """Read-only Hermitian part (:func:`hermitian_part`) of a copy of the input,
     with its ascending spectrum and the input's defect. The constructor is the
@@ -80,7 +85,12 @@ class HermitianMatrix:
 class DensityMatrix(HermitianMatrix):
     """Hermitian, unit-trace, positive-semidefinite matrix, made by :func:`validate`."""
 
-    __slots__ = ()
+    __slots__ = ("_checks",)
+
+    @property
+    def verdicts(self) -> list:
+        """The three verdicts :func:`validate` accepted this state with, margin 0."""
+        return [verdict(*args) for args in self._checks]
 
 
 def require_square(a) -> np.ndarray:
@@ -115,11 +125,11 @@ def hermitian_part(m: np.ndarray) -> tuple:
 def validate(mat, traced: int = 1) -> DensityMatrix:
     """Check the three density-matrix invariants and wrap the matrix.
 
-    Raises :class:`HermiticityError`, :class:`TraceError` or
-    :class:`PositivityError`, checked in that order, each naming the
-    offending magnitude; see :class:`HermitianMatrix` for entries so large
-    that the spectrum overflows. The trace and the spectrum are those of the
-    held Hermitian part.
+    Raises :class:`HermiticityError`, :class:`TraceError` or :class:`PositivityError`,
+    checked in that order, each naming the offending magnitude; see
+    :class:`HermitianMatrix` for entries so large that the spectrum overflows.
+    The trace and the spectrum are those of the held Hermitian part, and the
+    state keeps the three checks as :attr:`DensityMatrix.verdicts`.
 
     For a block trace over ``traced`` blocks of a valid state, whose negative
     eigenvalues it sums, the positivity tolerance scales by ``traced``; trace and
@@ -131,14 +141,17 @@ def validate(mat, traced: int = 1) -> DensityMatrix:
     trace_tol = TRACE_TOL + rounding
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace fails below
         tr = complex(rho.mat.trace())
-    if not abs(tr - 1.0) <= trace_tol:
-        raise TraceError(f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}, "
+    deviation = abs(tr - 1.0)
+    if not deviation <= trace_tol:
+        raise TraceError(f"trace {tr} deviates from 1 by {deviation:.3e}, "
                          f"exceeds tolerance {trace_tol:.1e}")
     psd_tol = PSD_TOL * traced + rounding
-    if rho.spectrum[0] < -psd_tol:
-        raise PositivityError(
-            f"negative eigenvalue {rho.spectrum[0]:.6e} below tolerance -{psd_tol:.1e}"
-        )
+    least = rho.spectrum[0]
+    if least < -psd_tol:
+        raise PositivityError(f"negative eigenvalue {least:.6e} below tolerance -{psd_tol:.1e}")
+    rho._checks = (("hermiticity", rho.defect, HERM_TOL, 0.0),
+                   ("trace_normalization", deviation, trace_tol, 0.0),
+                   ("positivity", least, -psd_tol, 0.0, True))
     return rho
 
 
@@ -193,9 +206,8 @@ class SeparableDecomposition:
                 raise ValueError(f"weight {p} is not finite")
         if min(self.weights) < -CLAMP_TOL:
             raise ValueError(f"negative weight {min(self.weights)}")
-        total = sum(self.weights)
-        if abs(total - 1.0) > PSD_TOL:
-            raise ValueError(f"weights sum to {total}, expected 1")
+        if not normalization_verdict(self.weights)["holds"]:
+            raise ValueError(f"weights sum to {sum(self.weights)}, expected 1")
         for side in (self.first_factors, self.second_factors):
             for f in side:
                 m = require_square(f)

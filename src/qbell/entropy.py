@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import BlockPartition, block_trace_first, block_trace_second
-from .density import CLAMP_TOL, HERM_TOL, PSD_TOL, DensityMatrix, verdict
+from .density import CLAMP_TOL, HERM_TOL, PSD_TOL, DensityMatrix, normalization_verdict, verdict
 
 
 # The relative entropy of distributions with disjoint support.
@@ -106,7 +106,7 @@ def relative_entropy(w1, w2):
         # less the rounding of the tomogram, at most HERM_TOL.
         if min(v) < -(PSD_TOL + HERM_TOL):
             raise ValueError(f"{name} has negative entry {min(v)}")
-        if not abs(sum(v) - 1.0) <= PSD_TOL:  # a NaN entry fails too
+        if not normalization_verdict(v)["holds"]:  # a NaN entry fails too
             raise ValueError(f"{name} sums to {sum(v)}, expected 1")
     total = 0.0
     for p, q in zip(a, b):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
 from qbell.bell import (
     CLASSIFY_TOL,
     SEPARABLE_BOUND,
+    STEP_TOL,
     TSIRELSON_BOUND,
     BellClass,
     BellReport,
@@ -271,6 +273,18 @@ def test_maximize_rejects_a_negative_seed():
     # random.Random would seed from |seed| and repeat the run of seed 1.
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         maximize_bell(random_density(4, 0), seed=-1)
+
+
+def test_the_optimizer_stats_name_the_method_and_the_final_step():
+    stats = maximize_bell(random_density(4, 42), restarts=2, seed=3).stats
+    assert [f.name for f in dataclasses.fields(stats)] == [
+        "method", "restarts", "evaluations", "converged", "step_tol"]
+    assert stats.method == "sender_pattern_search_receiver_closed_form"
+    assert (stats.restarts, stats.step_tol) == (2, STEP_TOL)
+    # The search decides both, so no caller can make the block misdescribe it.
+    for name in ("method", "step_tol"):
+        with pytest.raises(TypeError):
+            OptimizerStats(0, 0, True, **{name: None})
 
 
 def _report_with_value(v):

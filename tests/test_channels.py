@@ -141,6 +141,21 @@ def test_reductions_of_edge_states_are_accepted():
         assert report.subadditivity_holds and report.araki_lieb_holds
 
 
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 8), (8, 1)])
+def test_a_reduction_holds_the_bounds_its_validate_call_used(n, m):
+    p = BlockPartition(n, m)
+    rho = random_density(p.dim, 17)
+    for trace_map, traced in ((block_trace_first, m), (block_trace_second, n)):
+        reduced = trace_map(rho, p)
+        herm, trace, positivity = reduced.verdicts
+        assert (herm["value"], herm["bound"]) == (reduced.defect, HERM_TOL)
+        assert trace["bound"] == TRACE_TOL + HERM_TOL * (traced - 1)
+        assert trace["value"] == abs(complex(reduced.mat.trace()) - 1.0)
+        assert positivity["bound"] == -(PSD_TOL * traced + HERM_TOL * (traced - 1))
+        assert positivity["value"] == reduced.spectrum[0]
+        assert all(v["holds"] and v["margin"] == 0.0 for v in reduced.verdicts)
+
+
 def test_reductions_at_the_exact_positivity_edge_allow_for_rounding():
     # Two eigenvalues at exactly -PSD_TOL land in the same reduced entry;
     # rounding in the rotation takes the sum just below -2 PSD_TOL.

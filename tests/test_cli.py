@@ -167,6 +167,17 @@ def test_check_valid_density(tmp_path, capsys):
     assert rep["result"]["spectrum"] == [0, 0, 0, 1]
 
 
+@pytest.mark.parametrize("state", [PHI_PLUS, EDGE_TRACE, EDGE_NEGATIVE_BLOCK],
+                         ids=["phi-plus", "trace", "negative-block"])
+def test_check_prints_the_verdicts_validate_accepted_the_state_with(tmp_path, capsys, state):
+    path = _write(tmp_path, "state.json", matrix_to_file_dict(state))
+    code, rep = _run(capsys, ["check", path])
+    assert code == 0
+    assert rep["verdicts"] == density.validate(state).verdicts
+    assert [v["check_name"] for v in rep["verdicts"]] == ["hermiticity", "trace_normalization",
+                                                         "positivity"]
+
+
 def test_check_indefinite_matrix_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "bad.json", {"dim": 2, "re": [[1.5, 0], [0, -0.5]]})
     code = main(["check", path])
@@ -231,6 +242,17 @@ def test_tomogram_along_z(tmp_path, capsys):
     )
     assert code == 0
     assert rep["result"]["probabilities"] == [0.5, 0, 0, 0.5]
+
+
+@pytest.mark.parametrize("state", [PHI_PLUS, EDGE_NEGATIVE_BLOCK, EDGE_TRACE],
+                         ids=["phi-plus", "negative-block", "trace"])
+@pytest.mark.parametrize("angles", [["0", "-1e-05", "0", "0"], ["0.3", "1.1", "-2.0", "0.7"]])
+def test_tomogram_prints_the_normalization_verdict_of_its_probabilities(tmp_path, capsys,
+                                                                       state, angles):
+    path = _write(tmp_path, "state.json", matrix_to_file_dict(state))
+    code, rep = _run(capsys, ["tomogram", path, "--angles", *angles])
+    assert code == 0
+    assert rep["verdicts"] == [entropy.normalization_verdict(rep["result"]["probabilities"])]
 
 
 def test_bell_at_optimal_angles(tmp_path, capsys):

@@ -23,7 +23,15 @@ from qbell.appendix import (
 )
 from qbell.bell import CLASSIFY_TOL, TSIRELSON_BOUND, BellSetting, bell_number
 from qbell.channels import BlockPartition, block_trace_first, block_trace_second
-from qbell.density import HERM_TOL, PSD_TOL, TRACE_TOL, hermitian_part, validate
+from qbell.density import (
+    HERM_TOL,
+    PSD_TOL,
+    TRACE_TOL,
+    SeparableDecomposition,
+    hermitian_part,
+    normalization_verdict,
+    validate,
+)
 from qbell.entropy import DIVERGENT, check_subadditivity, relative_entropy
 from qbell.errors import DomainError, QbellError
 from qbell.tomography import EulerAngles, joint_tomogram
@@ -119,6 +127,34 @@ def test_boundary_states_pass_every_layer(m1, m2, a1, a2, setting):
     w2 = _assert_state_layers(rho2, a1, a2, setting)
     for d in (relative_entropy(w1, w2), relative_entropy(w2, w1)):
         assert d is DIVERGENT or d >= 0.0
+
+
+@st.composite
+def sum_edge_distributions(draw):
+    """Positive 4-vectors whose sum sits at 1 +- PSD_TOL, the last entry then
+    moved by up to 4 ulps either way."""
+    head = draw(st.lists(st.floats(0.01, 0.3), min_size=3, max_size=3))
+    last = 1.0 + draw(st.sampled_from((-PSD_TOL, PSD_TOL))) - sum(head)
+    ulps = draw(st.integers(-4, 4))
+    for _ in range(abs(ulps)):
+        last = float(np.nextafter(last, math.copysign(math.inf, ulps)))
+    return [*head, last]
+
+
+@PROPERTY_SETTINGS
+@given(sum_edge_distributions())
+def test_a_sum_is_rejected_exactly_when_the_normalization_verdict_fails(w):
+    uniform = [0.25] * 4
+    pure = np.diag([1.0, 0.0]).astype(complex)
+    holds = normalization_verdict(w)["holds"]
+    for make in (lambda: relative_entropy(w, uniform), lambda: relative_entropy(uniform, w),
+                 lambda: SeparableDecomposition(tuple(w), (pure,) * 4, (pure,) * 4)):
+        try:
+            make()
+        except ValueError as e:
+            assert not holds and "sum" in str(e)
+        else:
+            assert holds
 
 
 @st.composite
