@@ -8,8 +8,7 @@ whose tomograms under four product rotations form a row-stochastic matrix.
 Contracting that matrix against the CHSH sign pattern gives the Bell number
 of rho(x), read here as the Bell number of f + x I over its trace, and is
 bounded by 2 sqrt(2); for positive-definite f the same contraction applied to
-f itself is bounded by 2 sqrt(2) Tr f, and by 2 Tr f when f carries a
-separability witness.
+f itself is bounded by 2 sqrt(2) Tr f.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import TSIRELSON_BOUND, BellSetting, bell_number, bound_verdicts as bell_verdicts
-from .density import PSD_TOL, DensityMatrix, HermitianMatrix, SeparableDecomposition
+from .density import PSD_TOL, DensityMatrix, HermitianMatrix
 from .density import require_square, validate, verdict
 from .errors import DomainError, QbellError
 from .tomography import EulerAngles
@@ -119,21 +118,3 @@ def bound_verdicts(f: ObservableMatrix, value: float, q: UnitaryQuadruple) -> li
         value_f = abs(bell_number(f, q.as_setting()))
         verdicts.append(verdict("observable_bound", value_f, bound, PSD_TOL))
     return verdicts
-
-
-def separable_observable_check(witness: SeparableDecomposition, q: UnitaryQuadruple) -> dict:
-    """The ``separable_observable_bound`` verdict, within ``PSD_TOL``: bound 2 Tr f
-    for an observable carrying a separability witness.
-
-    The argument must be the witnessed construction itself, not a bare
-    matrix: separability is certified by construction, never decided here.
-    Each term p (A kron B) contributes at most 2 p, so the bound is twice the
-    weight sum, which the witness holds to 1 within ``PSD_TOL``.
-    """
-    if not isinstance(witness, SeparableDecomposition):
-        raise TypeError(
-            "separable_observable_check requires a SeparableDecomposition witness"
-        )
-    # Not validated: the weight sum may miss 1 by more than TRACE_TOL.
-    value = abs(bell_number(witness.matrix(), q.as_setting()))
-    return verdict("separable_observable_bound", value, 2.0 * sum(witness.weights), PSD_TOL)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,65 +182,26 @@ def random_density(dim: int, seed) -> DensityMatrix:
     return validate(m / np.trace(m).real)
 
 
-@dataclass(frozen=True)
-class SeparableDecomposition:
-    """Witnessed convex combination sum_n p_n (A_n kron B_n).
-
-    The factors are 2x2 density matrices and the weights are a probability
-    vector; both are checked at construction, so holding an instance is a
-    proof of separability of :meth:`matrix`.
-    """
-
-    weights: tuple
-    first_factors: tuple
-    second_factors: tuple
-
-    def __post_init__(self):
-        if not (len(self.weights) == len(self.first_factors) == len(self.second_factors)):
-            raise ValueError("weights and factor lists must have equal length")
-        if len(self.weights) == 0:
-            raise ValueError("decomposition needs at least one term")
-        for p in self.weights:  # NaN passes both comparisons below
-            if not math.isfinite(p):
-                raise ValueError(f"weight {p} is not finite")
-        if min(self.weights) < -CLAMP_TOL:
-            raise ValueError(f"negative weight {min(self.weights)}")
-        if not normalization_verdict(self.weights)["holds"]:
-            raise ValueError(f"weights sum to {sum(self.weights)}, expected 1")
-        for side in (self.first_factors, self.second_factors):
-            for f in side:
-                m = require_square(f)
-                if m.shape != (2, 2):
-                    raise ValueError(f"factors must be 2x2, got {m.shape}")
-                validate(m)
-
-    def matrix(self) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=np.complex128)
-        for p, f1, f2 in zip(self.weights, self.first_factors, self.second_factors):
-            out += p * np.kron(f1, f2)
-        return out
-
-
-def random_separable(seed, terms: int) -> SeparableDecomposition:
-    """Random separable construction with Dirichlet(1,..,1) weights."""
+def separable_sample(seed, terms: int) -> DensityMatrix:
+    """Random 4x4 separable density matrix sum_n p_n (A_n kron B_n), deterministic
+    per seed: Dirichlet(1,..,1) weights, then all first factors, then all second
+    factors, each 2x2 factor G G† / Tr(G G†)."""
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     rng = np.random.default_rng(seed)
-    weights = tuple(float(w) for w in rng.dirichlet(np.ones(terms)))
+    weights = rng.dirichlet(np.ones(terms))
 
     def factor():
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         m = g @ g.conj().T
         return m / np.trace(m).real
 
-    first = tuple(factor() for _ in range(terms))
-    second = tuple(factor() for _ in range(terms))
-    return SeparableDecomposition(weights, first, second)
-
-
-def separable_sample(seed, terms: int) -> DensityMatrix:
-    """Random 4x4 separable density matrix, deterministic per seed."""
-    return validate(random_separable(seed, terms).matrix())
+    first = [factor() for _ in range(terms)]
+    second = [factor() for _ in range(terms)]
+    out = np.zeros((4, 4), dtype=np.complex128)
+    for p, f1, f2 in zip(weights, first, second):
+        out += p * np.kron(f1, f2)
+    return validate(out)
 
 
 def partial_transpose(rho) -> np.ndarray:

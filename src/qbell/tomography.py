@@ -39,7 +39,7 @@ def tomogram(rho: DensityMatrix, u) -> np.ndarray:
     """Outcome distribution: the diagonal of u rho u†.
 
     ``u`` must be unitary within ``HERM_TOL`` and match the state's
-    dimension. Rounding negatives above ``-CLAMP_TOL`` are clamped to 0.
+    dimension. Rounding negatives at or above ``-CLAMP_TOL`` are clamped to 0.
     """
     um = require_square(u)
     if um.shape[0] != rho.dim:

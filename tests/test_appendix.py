@@ -22,18 +22,15 @@ from qbell.appendix import (
     bound_verdicts,
     min_admissible_x,
     rho_of_x,
-    separable_observable_check,
 )
 from qbell.bell import TSIRELSON_BOUND, BellSetting, bell_number, correlation_tensor, maximize_bell
 from qbell.cli import main, matrix_to_file_dict
 from qbell.density import (
     DensityMatrix,
     HermitianMatrix,
-    SeparableDecomposition,
     hermitian_part,
     partial_transpose,
     random_density,
-    random_separable,
 )
 from qbell.errors import DomainError, HermiticityError, QbellError
 from qbell.tomography import EulerAngles
@@ -417,41 +414,12 @@ def test_observable_bound_holds_for_positive_definite_inputs():
 
 def test_observable_checks_match_the_rotated_diagonal_form():
     rng = np.random.default_rng(31)
-    for seed in range(200):
+    for _ in range(200):
         h = random_hermitian(rng, 4)
         f = ObservableMatrix(h + (abs(np.linalg.eigvalsh(h)[0]) + 0.1) * np.eye(4))
         q = _random_quad(rng)
         want = observable_bell_value(f.mat, q)
         assert abs(_observable_bound(f, q)["value"] - want) <= 1e-12 * max(1.0, want)
-        witness = random_separable(seed, 1 + seed % 4)
-        want = observable_bell_value(witness.matrix(), q)
-        assert abs(separable_observable_check(witness, q)["value"] - want) <= 1e-12 * max(1.0, want)
-
-
-def test_separable_observable_accepts_weights_within_the_witness_tolerance():
-    # The weights sum to 1 + 5e-10: a valid witness, but its matrix's trace
-    # is outside validate's trace tolerance.
-    rng = np.random.default_rng(32)
-    p, m = np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex) / 2
-    witness = SeparableDecomposition((0.5, 0.5 + 5e-10), (p, m), (p, p))
-    q = _random_quad(rng)
-    want = observable_bell_value(witness.matrix(), q)
-    chk = separable_observable_check(witness, q)
-    assert abs(chk["value"] - want) <= 1e-12 * max(1.0, want)
-    assert chk["holds"]
-
-
-@pytest.mark.parametrize("excess", [9.9e-10, -9.9e-10])
-def test_separable_observable_bound_is_twice_the_weight_sum(excess):
-    # The +z projector product reaches 2 Tr at the identity quadruple, and
-    # the witness accepts weights summing to 1 within PSD_TOL, so a bound
-    # fixed at 2 fails a witness the constructor accepted.
-    p = np.diag([1.0, 0.0]).astype(complex)
-    witness = SeparableDecomposition((0.5, 0.5 + excess), (p, p), (p, p))
-    chk = separable_observable_check(witness, IDENTITY_QUAD)
-    assert chk["bound"] == 2.0 * sum(witness.weights)
-    assert abs(chk["value"] - chk["bound"]) <= 1e-15
-    assert chk["holds"]
 
 
 def test_observable_bound_rejects_an_overflowing_trace_without_warnings():
@@ -467,28 +435,6 @@ def test_an_observable_that_is_not_positive_definite_gets_only_the_tsirelson_ver
     f = ObservableMatrix(np.diag([1.0, least, 1.0, 1.0]))
     value = appendix_bell_value(f, 2.0, IDENTITY_QUAD)
     assert bound_verdicts(f, value, IDENTITY_QUAD) == bell.bound_verdicts(value)[1:]
-
-
-def test_separable_observable_single_term_reaches_two():
-    p = np.diag([1.0, 0.0]).astype(complex)
-    witness = SeparableDecomposition((1.0,), (p,), (p,))
-    chk = separable_observable_check(witness, IDENTITY_QUAD)
-    assert abs(chk["value"] - 2.0) <= 1e-12
-    assert chk["holds"]
-
-
-def test_separable_observable_bound_holds_on_random_witnesses():
-    rng = np.random.default_rng(28)
-    for seed in range(300):
-        witness = random_separable(seed, 1 + seed % 4)
-        chk = separable_observable_check(witness, _random_quad(rng))
-        assert chk["value"] <= 2.0 + 1e-9
-        assert chk["holds"]
-
-
-def test_separable_observable_requires_a_witness():
-    with pytest.raises(TypeError, match="witness"):
-        separable_observable_check(PHI_PLUS, IDENTITY_QUAD)
 
 
 def test_shifting_the_observable_with_matching_x_changes_nothing():

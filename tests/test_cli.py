@@ -178,6 +178,16 @@ def test_check_prints_the_verdicts_validate_accepted_the_state_with(tmp_path, ca
                                                          "positivity"]
 
 
+def test_check_accepts_a_hermiticity_defect_of_exactly_the_tolerance(tmp_path, capsys):
+    # the input's float defect is exactly HERM_TOL
+    doc = {"dim": 2, "re": [[0.5, 0.5], [0.5, 0.5]], "im": [[0, 0], [1e-10, 0]]}
+    code, rep = _run(capsys, ["check", _write(tmp_path, "edge.json", doc)])
+    assert code == 0
+    herm = rep["verdicts"][0]
+    assert herm["check_name"] == "hermiticity" and herm["value"] == density.HERM_TOL
+    assert herm["holds"] is True and herm["slack"] == 0.0
+
+
 def test_check_indefinite_matrix_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "bad.json", {"dim": 2, "re": [[1.5, 0], [0, -0.5]]})
     code = main(["check", path])

@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -7,14 +6,12 @@ from conftest import PHI_PLUS, random_unitary
 
 from qbell.channels import BlockPartition, block_trace_first, block_trace_second
 from qbell.density import (
-    SeparableDecomposition,
     embed_qutrit,
-    hermitian_part,
     partial_transpose,
     random_density,
-    random_separable,
     separable_sample,
     validate,
+    verdict,
 )
 from qbell.errors import HermiticityError, PositivityError, QbellError, TraceError
 
@@ -28,6 +25,13 @@ def test_validate_maximally_mixed():
 def test_validate_boundary_rank_one():
     rho = validate(np.diag([1.0, 0.0, 0.0, 0.0]))
     assert rho.spectrum[0] >= -1e-15
+
+
+def test_a_verdict_at_its_bound_holds_with_margin_0():
+    # the rule holds at slack == -margin itself
+    assert verdict("edge", 0.5, 0.5, 0.0) == {"check_name": "edge", "value": 0.5, "bound": 0.5,
+                                              "margin": 0.0, "holds": True, "slack": 0.0}
+    assert verdict("edge", 0.5, 0.5, 0.0, lower=True)["holds"]
 
 
 def test_validate_rejects_indefinite():
@@ -160,45 +164,12 @@ def test_embed_qutrit_wrong_dimension():
         embed_qutrit(validate(np.eye(4) / 4))
 
 
-def test_single_term_product_decomposition():
-    p = np.diag([1.0, 0.0]).astype(complex)
-    dec = SeparableDecomposition((1.0,), (p,), (p,))
-    assert np.array_equal(dec.matrix(), np.diag([1.0, 0, 0, 0]).astype(complex))
-
-
-def test_separable_decomposition_rejects_bad_witness():
-    p = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError, match="negative weight"):
-        SeparableDecomposition((1.5, -0.5), (p, p), (p, p))
-    with pytest.raises(ValueError, match="sum"):
-        SeparableDecomposition((0.7,), (p,), (p,))
-    with pytest.raises(ValueError, match="equal length"):
-        SeparableDecomposition((1.0,), (p, p), (p,))
-    with pytest.raises(PositivityError):
-        SeparableDecomposition((1.0,), (np.diag([1.5, -0.5]).astype(complex),), (p,))
-
-
-@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
-def test_separable_decomposition_rejects_a_non_finite_weight(weight):
-    # A NaN weight fails every comparison, so the sign and sum checks pass it.
-    p = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError, match=f"weight {weight} is not finite"):
-        SeparableDecomposition((weight,), (p,), (p,))
-
-
 def test_separable_sample_is_valid_and_deterministic():
     for seed in (0, 1, 17):
         rho = separable_sample(seed, 3)
         again = separable_sample(seed, 3)
         assert np.array_equal(rho.mat, again.mat)
         assert abs(np.trace(rho.mat) - 1.0) <= 1e-12
-
-
-def test_separable_sample_matches_its_decomposition():
-    dec = random_separable(42, 4)
-    rho = separable_sample(42, 4)
-    # the sum of products carries an imaginary diagonal of order 1e-19
-    assert np.array_equal(rho.mat, hermitian_part(dec.matrix())[0])
 
 
 def test_separable_sample_rejects_bad_terms():

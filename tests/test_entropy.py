@@ -5,7 +5,7 @@ import pytest
 from conftest import PHI_PLUS, random_unitary
 
 from qbell.channels import BlockPartition
-from qbell.density import PSD_TOL, embed_qutrit, random_density, validate
+from qbell.density import CLAMP_TOL, HERM_TOL, PSD_TOL, embed_qutrit, random_density, validate
 from qbell.entropy import (
     DIVERGENT,
     check_subadditivity,
@@ -161,6 +161,21 @@ def test_relative_entropy_accepts_a_tomogram_rounded_past_the_edge():
     w = np.array([0.0, 0.0, 1.0 + PSD_TOL, np.nextafter(-PSD_TOL, -1.0)])
     assert w[3] < -PSD_TOL
     assert relative_entropy(w, w) == 0.0
+
+
+def test_relative_entropy_accepts_an_entry_at_exactly_the_negative_edge():
+    edge = -(PSD_TOL + HERM_TOL)
+    w = [edge, 0.5, 0.5 - edge]
+    assert relative_entropy(w, w) == 0.0
+
+
+def test_relative_entropy_gives_an_entry_of_exactly_clamp_tol_no_weight():
+    # counted, the first entry would meet q = 0 and diverge
+    assert relative_entropy([CLAMP_TOL, 1.0 - CLAMP_TOL], [0.0, 1.0]) == 0.0
+
+
+def test_relative_entropy_diverges_where_q_is_exactly_clamp_tol():
+    assert relative_entropy([0.5, 0.5], [CLAMP_TOL, 1.0 - CLAMP_TOL]) is DIVERGENT
 
 
 def test_relative_entropy_within_tolerance_of_distributions_is_not_negative():

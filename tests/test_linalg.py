@@ -3,10 +3,9 @@ import pytest
 from conftest import random_hermitian, random_unitary, su2
 
 from qbell.density import (
+    HERM_TOL,
     HermitianMatrix,
-    SeparableDecomposition,
     hermitian_part,
-    random_density,
     require_square,
 )
 from qbell.errors import HermiticityError
@@ -18,38 +17,6 @@ def test_matmul_rotation_times_adjoint_is_identity():
     for _ in range(50):
         u = su2(EulerAngles(*rng.uniform(-7, 7, 3)))
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
-
-
-# SeparableDecomposition.matrix is the package's one Kronecker product.
-
-def _product(a, b):
-    return SeparableDecomposition((1.0,), (a,), (b,)).matrix()
-
-
-def test_kron_identities():
-    assert np.array_equal(_product(np.eye(2) / 2, np.eye(2) / 2), np.eye(4) / 4)
-    p = np.diag([1.0, 0.0]).astype(complex)
-    assert np.array_equal(_product(p, p), np.diag([1.0, 0, 0, 0]))
-
-
-def test_kron_mixed_product_property():
-    # (u kron v)(a kron b)(u kron v)† is (u a u†) kron (v b v†)
-    rng = np.random.default_rng(5)
-    for seed in range(50):
-        a, b = random_density(2, seed).mat, random_density(2, seed + 1000).mat
-        u, v = random_unitary(rng, 2), random_unitary(rng, 2)
-        w = np.kron(u, v)
-        lhs = w @ _product(a, b) @ w.conj().T
-        rhs = _product(u @ a @ u.conj().T, v @ b @ v.conj().T)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
-def test_kron_spectrum_is_pairwise_products():
-    for seed in range(25):
-        a, b = random_density(2, seed), random_density(2, seed + 1000)
-        expected = np.sort(np.outer(a.spectrum, b.spectrum).ravel())
-        got = np.linalg.eigvalsh(_product(a.mat, b.mat))
-        assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 # The HermitianMatrix constructor is the package's one Hermitian eigenvalue routine.
@@ -129,9 +96,15 @@ def test_non_finite_entries_rejected():
         require_square(np.array([[np.nan, 0], [0, 0]]))
 
 
-def test_kron_rejects_non_matrices():
+def test_a_defect_of_exactly_herm_tol_is_accepted():
+    # m - m† is 1e-10j at two entries, so the float defect is HERM_TOL itself
+    h = HermitianMatrix(np.array([[0.5, 0.5], [0.5 + 1e-10j, 0.5]]), "test")
+    assert h.defect == HERM_TOL
+
+
+def test_require_square_rejects_non_matrices():
     with pytest.raises(ValueError, match="2-D"):
-        _product(np.ones(2), np.eye(2) / 2)
+        require_square(np.ones(2))
 
 
 def test_hermitian_part_defect_is_the_max_norm_of_m_minus_its_adjoint():

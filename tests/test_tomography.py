@@ -6,7 +6,7 @@ from conftest import PHI_PLUS, random_unitary, su2
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbell.density import CLAMP_TOL, random_density, random_separable, validate
+from qbell.density import CLAMP_TOL, random_density, validate
 from qbell.tomography import EulerAngles, joint_tomogram, tomogram
 
 
@@ -100,20 +100,31 @@ def test_joint_tomogram_ignores_residual_phase():
 
 
 def test_joint_tomogram_of_separable_state_is_a_mixture_of_products():
-    # oracle: assemble sum_n p_n w1_n(m1) w2_n(m2) from the witnessed factors
+    # oracle: assemble sum_n p_n w1_n(m1) w2_n(m2) from the factors
     for seed in range(50):
-        dec = random_separable(seed, 1 + seed % 4)
-        rho = validate(dec.matrix())
+        terms = 1 + seed % 4
+        weights = np.random.default_rng(seed).dirichlet(np.ones(terms))
+        factors = [(random_density(2, [seed, n, 0]).mat, random_density(2, [seed, n, 1]).mat)
+                   for n in range(terms)]
+        rho = validate(sum(p * np.kron(f1, f2) for p, (f1, f2) in zip(weights, factors)))
         a1 = EulerAngles(0.9 * seed % 3.0, 1.1 + 0.01 * seed)
         a2 = EulerAngles(-0.7, 2.2 - 0.01 * seed)
         u1, u2 = su2(a1), su2(a2)
         expected = np.zeros(4)
-        for p, f1, f2 in zip(dec.weights, dec.first_factors, dec.second_factors):
+        for p, (f1, f2) in zip(weights, factors):
             w1 = np.diag(u1 @ f1 @ u1.conj().T).real
             w2 = np.diag(u2 @ f2 @ u2.conj().T).real
             expected += p * np.outer(w1, w2).ravel()
         got = joint_tomogram(rho, a1, a2)
         assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_an_entry_of_exactly_minus_clamp_tol_reads_as_zero():
+    rho = validate(np.diag([-CLAMP_TOL, 0.25 + CLAMP_TOL, 0.25, 0.5]))
+    assert rho.mat[0, 0] == -CLAMP_TOL
+    z = EulerAngles(0.0, 0.0)
+    assert joint_tomogram(rho, z, z)[0] == 0.0
+    assert tomogram(rho, np.eye(4))[0] == 0.0
 
 
 def _reference_probabilities(rho, u):
