@@ -55,8 +55,8 @@ class UnitaryQuadruple:
     u4: EulerAngles
 
     def as_setting(self) -> BellSetting:
-        """The equivalent four-direction setting: a=u1, d=u2, b=u3, c=u4."""
-        return BellSetting(a=self.u1, d=self.u2, b=self.u3, c=self.u4)
+        """The equivalent four-direction setting, field by field: a=u1, d=u2, b=u3, c=u4."""
+        return BellSetting(self.u1, self.u2, self.u3, self.u4)
 
 
 def min_admissible_x(f: ObservableMatrix) -> float:

@@ -52,38 +52,26 @@ _PAULI_KRON = np.array([[np.kron(p, q) for q in _PAULI] for p in _PAULI])
 
 @dataclass(frozen=True)
 class BellSetting:
-    """Four measurement directions: a, d on the first axis pair, b, c on the second."""
+    """Four measurement directions, a, d on the first axis pair, b, c on the second,
+    declared in the flat order that :meth:`from_flat` and the appendix's u1..u4 read."""
 
     a: EulerAngles
+    d: EulerAngles
     b: EulerAngles
     c: EulerAngles
-    d: EulerAngles
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            if getattr(self, name).psi != 0.0:
+        for name, direction in vars(self).items():
+            if direction.psi != 0.0:
                 raise ValueError(f"measurement direction {name} must have psi == 0")
 
     @classmethod
     def from_flat(cls, values) -> "BellSetting":
-        """Build from eight radians ordered (phi, theta) for a, d, b, c."""
+        """Build from eight radians, (phi, theta) for each direction in field order."""
         v = [float(x) for x in values]
         if len(v) != 8:
             raise ValueError(f"expected 8 angles (phi, theta for a, d, b, c), got {len(v)}")
-        return cls(
-            a=EulerAngles(v[0], v[1]),
-            d=EulerAngles(v[2], v[3]),
-            b=EulerAngles(v[4], v[5]),
-            c=EulerAngles(v[6], v[7]),
-        )
-
-    def to_flat(self):
-        return [
-            self.a.phi, self.a.theta,
-            self.d.phi, self.d.theta,
-            self.b.phi, self.b.theta,
-            self.c.phi, self.c.theta,
-        ]
+        return cls(*(EulerAngles(v[k], v[k + 1]) for k in range(0, 8, 2)))
 
 
 class BellClass(enum.Enum):
@@ -117,12 +105,12 @@ def bell_number(rho, setting: BellSetting) -> float:
     Linear in the matrix, so it also accepts any 4x4 matrix, such as an
     observable, read through :func:`correlation_tensor`.
     """
-    x = setting.to_flat()  # [phi_a, th_a, phi_d, th_d, phi_b, th_b, phi_c, th_c]
-    u, v = _receiver_rows(correlation_tensor(rho))(x[:4])
-    sb, sc = math.sin(x[5]), math.sin(x[7])
-    b = (sb * math.cos(x[4]), sb * math.sin(x[4]), math.cos(x[5]))
-    c = (sc * math.cos(x[6]), sc * math.sin(x[6]), math.cos(x[7]))
-    return (b[0] * u[0] + b[1] * u[1] + b[2] * u[2]) + (c[0] * v[0] + c[1] * v[1] + c[2] * v[2])
+    a, d, b, c = setting.a, setting.d, setting.b, setting.c
+    u, v = _receiver_rows(correlation_tensor(rho))((a.phi, a.theta, d.phi, d.theta))
+    sb, sc = math.sin(b.theta), math.sin(c.theta)
+    bx, by, bz = sb * math.cos(b.phi), sb * math.sin(b.phi), math.cos(b.theta)
+    cx, cy, cz = sc * math.cos(c.phi), sc * math.sin(c.phi), math.cos(c.theta)
+    return (bx * u[0] + by * u[1] + bz * u[2]) + (cx * v[0] + cy * v[1] + cz * v[2])
 
 
 def correlation_tensor(rho) -> np.ndarray:

@@ -129,11 +129,7 @@ def parse_matrix(path: str):
 
 
 def matrix_to_file_dict(mat: np.ndarray) -> dict:
-    return {
-        "dim": int(mat.shape[0]),
-        "re": [[float(v) for v in row] for row in mat.real],
-        "im": [[float(v) for v in row] for row in mat.imag],
-    }
+    return {"dim": int(mat.shape[0]), "re": mat.real.tolist(), "im": mat.imag.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +152,16 @@ def _angles_dict(a: tomography.EulerAngles) -> dict:
     return {"phi": a.phi, "theta": a.theta}
 
 
-def _setting_dict(s: bl.BellSetting) -> dict:
-    return {k: _angles_dict(getattr(s, k)) for k in ("a", "d", "b", "c")}
+def _directions_dict(record) -> dict:
+    """A setting's or a quadruple's directions, keyed by field name in field order."""
+    return {f.name: _angles_dict(getattr(record, f.name)) for f in dataclasses.fields(record)}
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each maps the loaded input to its report body.
 
 def cmd_check(rho, args):
-    result = {"dim": rho.dim, "spectrum": [float(v) for v in rho.spectrum]}
+    result = {"dim": rho.dim, "spectrum": rho.spectrum.tolist()}
     return {"verdicts": rho.verdicts, "result": result}
 
 
@@ -182,17 +179,14 @@ def cmd_entropy(rho, args):
 
 
 def cmd_tomogram(rho, args):
-    phi1, th1, phi2, th2 = args.angles
-    probs = tomography.joint_tomogram(
-        rho, tomography.EulerAngles(phi1, th1), tomography.EulerAngles(phi2, th2)
-    )
+    first, second = (tomography.EulerAngles(*args.angles[k:k + 2]) for k in (0, 2))
+    probs = tomography.joint_tomogram(rho, first, second).tolist()
     result = {
-        "angles": {"first": {"phi": phi1, "theta": th1},
-                   "second": {"phi": phi2, "theta": th2}},
-        "probabilities": [float(p) for p in probs],
+        "angles": {"first": _angles_dict(first), "second": _angles_dict(second)},
+        "probabilities": probs,
         "clamp_tol": tomography.CLAMP_TOL,
     }
-    return {"verdicts": [entropy.normalization_verdict(probs.tolist())], "result": result}
+    return {"verdicts": [entropy.normalization_verdict(probs)], "result": result}
 
 
 def _bell_stage(rho, args):
@@ -211,7 +205,7 @@ def cmd_bell(rho, args):
     setting, body = _bell_stage(rho, args)
     b = bl.bell_number(rho, setting)
     body["verdicts"] = bl.bound_verdicts(b)
-    body["result"] = {"setting": _setting_dict(setting), "bell_number": b, "value": abs(b),
+    body["result"] = {"setting": _directions_dict(setting), "bell_number": b, "value": abs(b),
                       "classification": bl.classify(abs(b)).value}
     return body
 
@@ -219,21 +213,21 @@ def cmd_bell(rho, args):
 def cmd_appendix(f, args):
     rho = apx.rho_of_x(f, args.x)
     setting, body = _bell_stage(rho, args)
-    quad = apx.UnitaryQuadruple(u1=setting.a, u2=setting.d, u3=setting.b, u4=setting.c)
+    quad = apx.UnitaryQuadruple(*(getattr(setting, f.name) for f in dataclasses.fields(setting)))
     value = apx.appendix_bell_value(f, args.x, quad)
     body["verdicts"] = apx.bound_verdicts(f, value, quad)
     body["result"] = {
         "x": float(args.x),
         "min_admissible_x": apx.min_admissible_x(f),
-        "quadruple": {k: _angles_dict(getattr(quad, k)) for k in ("u1", "u2", "u3", "u4")},
+        "quadruple": _directions_dict(quad),
         "value": value,
-        "rho_x_spectrum": [float(v) for v in rho.spectrum],
+        "rho_x_spectrum": rho.spectrum.tolist(),
     }
     return body
 
 
 def cmd_embed_qutrit(rho3, args):
-    return matrix_to_file_dict(np.asarray(density.embed_qutrit(rho3).mat))
+    return matrix_to_file_dict(density.embed_qutrit(rho3).mat)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("bell", cmd_bell, "Bell number at a fixed setting", dim=4)
     p.add_argument("--angles", type=float, nargs=8, required=True, action=_Angles,
-                   metavar=tuple(f"{n}_{x}" for n in ("a", "d", "b", "c") for x in ("PHI", "THETA")),
+                   metavar=tuple(f"{f.name}_{x}" for f in dataclasses.fields(bl.BellSetting)
+                                 for x in ("PHI", "THETA")),
                    help="radians: phi and theta for directions a, d, b, c")
 
     p = subcommand("bell-max", cmd_bell, "maximize |Bell number| over settings", dim=4)
@@ -309,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True,
                    help="shift; must exceed the largest |eigenvalue| of the matrix")
     p.add_argument("--angles", type=float, nargs=8, default=None, action=_Angles,
-                   metavar=tuple(f"u{k}_{x}" for k in (1, 2, 3, 4) for x in ("PHI", "THETA")),
+                   metavar=tuple(f"{f.name}_{x}" for f in dataclasses.fields(apx.UnitaryQuadruple)
+                                 for x in ("PHI", "THETA")),
                    help="radians for the rotation quadruple (default: optimizer search)")
     _add_optimizer_args(p)
 

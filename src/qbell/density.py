@@ -170,16 +170,17 @@ def embed_qutrit(rho3: DensityMatrix) -> DensityMatrix:
     return validate(out)
 
 
-def random_density(dim: int, seed) -> DensityMatrix:
-    """Random full-rank density matrix: G G† / Tr(G G†).
-
-    G has iid standard-normal real and imaginary parts drawn from numpy's
-    PCG64 generator, so output is reproducible for a fixed integer seed.
-    """
-    rng = np.random.default_rng(seed)
+def _random_state(rng, dim: int) -> np.ndarray:
+    """G G† / Tr(G G†), G with the real, then the imaginary parts drawn from ``rng``."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return validate(m / np.trace(m).real)
+    return m / np.trace(m).real
+
+
+def random_density(dim: int, seed) -> DensityMatrix:
+    """Random full-rank density matrix, :func:`_random_state` from numpy's PCG64
+    generator, so output is reproducible for a fixed integer seed."""
+    return validate(_random_state(np.random.default_rng(seed), dim))
 
 
 def separable_sample(seed, terms: int) -> DensityMatrix:
@@ -190,14 +191,8 @@ def separable_sample(seed, terms: int) -> DensityMatrix:
         raise ValueError(f"terms must be >= 1, got {terms}")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(terms))
-
-    def factor():
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        m = g @ g.conj().T
-        return m / np.trace(m).real
-
-    first = [factor() for _ in range(terms)]
-    second = [factor() for _ in range(terms)]
+    first = [_random_state(rng, 2) for _ in range(terms)]
+    second = [_random_state(rng, 2) for _ in range(terms)]
     out = np.zeros((4, 4), dtype=np.complex128)
     for p, f1, f2 in zip(weights, first, second):
         out += p * np.kron(f1, f2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -450,8 +451,8 @@ def test_shifting_the_observable_with_matching_x_changes_nothing():
     # identical shifted states means the optimizer's argmax cannot move
     r1 = maximize_bell(rho_of_x(f, x), restarts=4, seed=9)
     r2 = maximize_bell(rho_of_x(f_shifted, x_shifted), restarts=4, seed=9)
-    flat1, flat2 = r1.setting.to_flat(), r2.setting.to_flat()
-    assert max(abs(a - b) for a, b in zip(flat1, flat2)) <= 1e-4
+    angles1, angles2 = dataclasses.astuple(r1.setting), dataclasses.astuple(r2.setting)
+    assert np.max(np.abs(np.subtract(angles1, angles2))) <= 1e-4
 
 
 def test_large_shift_approaches_maximally_mixed():

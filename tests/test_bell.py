@@ -13,6 +13,7 @@ from conftest import (
     werner,
 )
 
+from qbell.appendix import UnitaryQuadruple
 from qbell.bell import (
     CLASSIFY_TOL,
     SEPARABLE_BOUND,
@@ -61,6 +62,15 @@ def test_setting_rejects_residual_phase():
         )
     with pytest.raises(ValueError, match="8 angles"):
         BellSetting.from_flat([0.0] * 7)
+
+
+def test_setting_declares_its_directions_in_flat_order():
+    # from_flat, the appendix's quadruple and the CLI read the directions by position.
+    assert tuple(f.name for f in dataclasses.fields(BellSetting)) == ("a", "d", "b", "c")
+    v = np.random.default_rng(31).uniform(0, 2 * math.pi, 8).tolist()
+    dirs = [EulerAngles(v[k], v[k + 1]) for k in (0, 2, 4, 6)]
+    assert BellSetting.from_flat(v) == BellSetting(*dirs)
+    assert UnitaryQuadruple(*dirs).as_setting() == BellSetting(*dirs)
 
 
 def test_correlation_of_maximally_mixed_vanishes():
@@ -240,7 +250,7 @@ def test_maximize_on_degenerate_correlation_tensors(mat, want):
     assert abs(rep.value - want) <= 1e-12
     assert rep.value == abs(bell_number(rho, rep.setting))
     assert rep.stats.converged
-    assert all(math.isfinite(v) for v in rep.setting.to_flat())
+    assert np.isfinite(dataclasses.astuple(rep.setting)).all()
 
 
 def test_receiver_step_attains_the_sum_of_the_receiver_vector_lengths():

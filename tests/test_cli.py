@@ -427,6 +427,21 @@ def test_appendix_at_its_printed_quadruple_prints_the_same_value_and_verdicts(
     assert searched["verdicts"][0]["value"] == searched["result"]["value"]
 
 
+@pytest.mark.parametrize("seed", [None, 3], ids=["phi_plus", "random"])
+def test_bell_at_the_setting_bell_max_printed_prints_the_same_result_and_verdicts(
+        tmp_path, capsys, seed):
+    # The setting prints in field order, the order --angles reads.
+    path = (_phi_plus_file(tmp_path) if seed is None else
+            _write(tmp_path, "rho.json", matrix_to_file_dict(density.random_density(4, seed).mat)))
+    code, searched = _run(capsys, ["bell-max", path])
+    setting = searched["result"]["setting"]
+    angles = [repr(direction[k]) for direction in setting.values() for k in ("phi", "theta")]
+    fixed_code, fixed = _run(capsys, ["bell", path, "--angles", *angles])
+    assert code == fixed_code == 0
+    assert fixed["result"] == searched["result"]
+    assert fixed["verdicts"] == searched["verdicts"]
+
+
 def test_bell_max_leaves_numpy_random_unimported(tmp_path):
     # numpy.random costs about 6 MB and 19 ms to import. numpy >= 2 loads it on
     # first use only; older numpy loads it with numpy, so compare with that.

@@ -26,7 +26,7 @@ def test_readme_python_example_prints_what_it_claims(capsys):
     value, cls = second.split()
     assert value.startswith(digits)
     assert abs(float(value) - 2 * math.sqrt(2)) <= 1e-6
-    assert cls == str(BellClass(label)) == str(BellClass.HIDDEN_BELL_CORRELATION)
+    assert cls == label == BellClass.HIDDEN_BELL_CORRELATION.value
 
 
 def test_the_package_root_exports_only_the_names_its_callers_reach():
